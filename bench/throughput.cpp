@@ -12,6 +12,8 @@
 // output is experiments per wall second.
 #include <benchmark/benchmark.h>
 
+#include <ctime>
+
 #include "common.h"
 #include "core/batch_harness.h"
 #include "core/campaign.h"
@@ -35,6 +37,13 @@ core::Checker& shared_checker() {
 // waves (tens of experiments) so worker-pool ramp-up amortizes; small
 // enough that a serial campaign completes in a few seconds of wall time.
 constexpr sim::SimTimeMs kCampaignBudgetMs = 600 * 1000;
+
+// User + system CPU of every thread in the process, in seconds.
+double process_cpu_seconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
+}
 
 }  // namespace
 
@@ -73,10 +82,12 @@ static void BM_SingleExperiment(benchmark::State& state) {
 BENCHMARK(BM_SingleExperiment)->Arg(0)->Arg(1)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);
 
 // Full SABRE campaign at N workers. Arg(1) runs the serial Checker::run
-// path; higher counts dispatch batches across the worker pool. The reports
-// are identical by construction (see tests/test_checker_parallel.cc), so
-// the runs are directly comparable: items/s is experiments per wall second
-// and real_time per iteration is the campaign wall time.
+// path; higher counts dispatch each plan of a wave to the worker pool. The
+// reports are identical by construction (see tests/test_checker_parallel.cc),
+// so the runs are directly comparable: items/s is experiments per wall
+// second, real_time per iteration is the campaign wall time, and
+// cpu_s_per_experiment is process CPU (all threads) per applied experiment,
+// which shows what the wall-time speedup costs in CPU.
 static void BM_CheckerCampaign(benchmark::State& state) {
   const int workers = static_cast<int>(state.range(0));
   core::Checker& checker = shared_checker();
@@ -84,6 +95,7 @@ static void BM_CheckerCampaign(benchmark::State& state) {
   const auto suite = core::SimulationHarness::iris_suite();
 
   std::int64_t experiments = 0;
+  const double cpu_start_s = process_cpu_seconds();
   for (auto _ : state) {
     core::SabreScheduler sabre(suite, model.golden_transitions());
     core::BudgetClock budget(kCampaignBudgetMs);
@@ -93,9 +105,12 @@ static void BM_CheckerCampaign(benchmark::State& state) {
     experiments += report.experiments;
     benchmark::DoNotOptimize(report);
   }
+  const double cpu_s = process_cpu_seconds() - cpu_start_s;
   state.SetItemsProcessed(experiments);
   state.counters["experiments/campaign"] = benchmark::Counter(
       static_cast<double>(experiments) / static_cast<double>(state.iterations()));
+  state.counters["cpu_s_per_experiment"] =
+      benchmark::Counter(experiments > 0 ? cpu_s / static_cast<double>(experiments) : 0.0);
 }
 BENCHMARK(BM_CheckerCampaign)
     ->Arg(1)

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <future>
 #include <map>
 #include <string>
@@ -139,8 +140,10 @@ class Checker {
   // core::BatchHarness (bit-identical to one-at-a-time scalar runs — the
   // batch engine's contract). 0 (the default) means auto, currently
   // kAutoBatchWidth; width 1 still routes through the batch engine as a
-  // degenerate single-lane batch. Applies to run() and, per worker chunk,
-  // to run_parallel(); profiling and prefix recording stay scalar.
+  // degenerate single-lane batch. Applies to run() only: run_parallel()
+  // simulates each plan as its own single-lane task and uses the width
+  // just to size its wave request. Profiling and prefix recording stay
+  // scalar.
   static constexpr int kAutoBatchWidth = 4;
   // Slack every experiment gets past the profiled mission duration before
   // it is cut off (p_make_spec); a safe run that uses all of it counts as
@@ -205,21 +208,22 @@ class Checker {
     return report;
   }
 
-  // Parallel variant: strategies hand out a batch of independent plans, the
-  // pool simulates them concurrently, and results are applied on this
-  // thread in submission order. Budget charging, feedback() and
+  // Parallel variant: strategies hand out a wave of independent plans, the
+  // pool simulates each plan as its own task, and results are applied on
+  // this thread in submission order. Budget charging, feedback() and
   // UnsafeRecord collection are therefore single-threaded, so BudgetClock
   // needs no locking and the report is bit-identical to run() for the same
-  // plan sequence. If the budget exhausts mid-batch, the in-flight
-  // remainder is drained but not applied — exactly the experiments a serial
-  // run would never have started. Those discarded plans were already
+  // plan sequence. If the budget exhausts mid-wave, the rest of the wave is
+  // cancelled: tasks that have not started return without simulating, and
+  // no result past the boundary is applied — exactly the experiments a
+  // serial run would never have started. Those discarded plans were already
   // consumed from the strategy, so a strategy object that went through
   // run_parallel should not be resumed with a fresh budget (no current
   // caller does; serial run() has no such caveat). See docs/PERFORMANCE.md.
   CheckerReport run_parallel(InjectionStrategy& strategy, BudgetClock& budget, int workers) {
     if (workers <= 1) return run(strategy, budget);
     const MonitorModel& monitor = model();
-    // Recorded on this thread before any batch is dispatched; workers then
+    // Recorded on this thread before any plan is dispatched; workers then
     // share the store strictly read-only. Tree merges are deferred to the
     // end of each wave (below) to keep that invariant.
     const CheckpointStore* checkpoints = p_checkpoints(monitor);
@@ -227,70 +231,79 @@ class Checker {
     const int capture_limit =
         checkpoints != nullptr && checkpoints->trees_enabled() ? strategy.chain_extension_limit()
                                                                : 0;
+    // Set by the apply loop at the discard boundary; ends the campaign.
+    // Declared before the pool so it outlives every task the pool may
+    // still hold.
+    std::atomic<bool> cancelled{false};
     util::ThreadPool pool(workers);
     CheckerReport report;
     report.strategy_name = strategy.name();
-    bool out_of_budget = false;
-    struct ChunkOutput {
-      std::vector<ExperimentResult> results;
-      std::vector<std::vector<ExperimentSnapshot>> captures;
+    struct PlanOutput {
+      ExperimentResult result;
+      std::vector<ExperimentSnapshot> captures;
     };
     std::vector<PendingMerge> deferred;
-    while (!out_of_budget && !budget.exhausted()) {
-      // Two width-sized lockstep chunks per worker keep the pool saturated
+    while (!cancelled.load(std::memory_order_relaxed) && !budget.exhausted()) {
+      // Two lockstep widths of plans per worker keep the pool saturated
       // while the caller thread applies results; strategies may return fewer
-      // plans (SABRE stops at its expansion-wave boundary to preserve the
-      // serial plan sequence). Near the budget boundary the chunk width
-      // shrinks with the adaptive cap, so a wave overshoots by at most the
-      // chunk count, not chunk-count-times-width, experiments.
-      const auto width = static_cast<std::size_t>(p_adaptive_width(budget, batch_width()));
+      // (SABRE stops at its expansion-wave boundary to preserve the serial
+      // plan sequence). Near the budget boundary the adaptive cap shrinks
+      // the request, so a wave overshoots the budget by few experiments.
       std::vector<FaultPlan> plans =
-          strategy.next_batch(budget, 2 * workers * static_cast<int>(width));
+          strategy.next_batch(budget, p_adaptive_width(budget, 2 * workers * batch_width()));
       if (plans.empty()) break;
-      std::vector<std::future<ChunkOutput>> in_flight;
-      in_flight.reserve((plans.size() + width - 1) / width);
-      for (std::size_t begin = 0; begin < plans.size(); begin += width) {
-        const std::size_t end = std::min(plans.size(), begin + width);
+      // One task per plan: a wave of ~10 plans keeps every worker busy,
+      // where width-sized chunks would step up to `width` experiments in
+      // series on one thread while other workers idle.
+      std::vector<std::future<PlanOutput>> in_flight;
+      in_flight.reserve(plans.size());
+      for (const FaultPlan& plan : plans) {
         std::vector<ExperimentSpec> specs;
-        specs.reserve(end - begin);
-        for (std::size_t i = begin; i < end; ++i) specs.push_back(p_make_spec(plans[i], monitor));
-        in_flight.push_back(
-            pool.submit([this, specs = std::move(specs), &monitor, checkpoints, capture_limit] {
-              // Per-worker engine: whichever worker picks this chunk up
-              // checks a batch engine out for the duration, so the lane
-              // worlds are reset, not reallocated, from one chunk to the
-              // next (the arena-reuse contract). An exception skips the
-              // release and simply retires the engine.
-              auto engine = engines_.acquire(harness_);
-              ChunkOutput out;
-              out.results = engine->run(specs, &monitor, checkpoints, -1, capture_limit,
-                                        capture_limit > 0 ? &out.captures : nullptr);
-              engines_.release(std::move(engine));
-              return out;
-            }));
+        specs.push_back(p_make_spec(plan, monitor));
+        in_flight.push_back(pool.submit([this, specs = std::move(specs), &monitor, checkpoints,
+                                         capture_limit, &cancelled] {
+          PlanOutput out;
+          if (cancelled.load(std::memory_order_relaxed)) return out;
+          // Per-worker engine: whichever worker picks this plan up checks a
+          // batch engine out for the duration, so its lane world is reset,
+          // not reallocated, from one plan to the next (the arena-reuse
+          // contract). An exception skips the release and simply retires
+          // the engine.
+          auto engine = engines_.acquire(harness_);
+          std::vector<std::vector<ExperimentSnapshot>> captures;
+          std::vector<ExperimentResult> results =
+              engine->run(specs, &monitor, checkpoints, -1, capture_limit,
+                          capture_limit > 0 ? &captures : nullptr);
+          engines_.release(std::move(engine));
+          out.result = std::move(results.front());
+          if (!captures.empty()) out.captures = std::move(captures.front());
+          return out;
+        }));
       }
-      // Apply in flattened submission order — the proposal order — so the
-      // report is bit-identical to the serial loop for the same plans.
-      std::size_t applied = 0;
-      for (auto& chunk : in_flight) {
-        ChunkOutput out = chunk.get();  // rethrows worker errors
-        for (std::size_t j = 0; j < out.results.size(); ++j) {
-          // Result 0 is always applied: the serial loop runs and applies any
-          // plan next() returns, even when proposal-side charges (BFI's
-          // labels) crossed the budget limit while producing it. Later
-          // results are discarded once the budget exhausts — exactly the
-          // experiments a serial run would never have started.
-          if (out_of_budget || (applied > 0 && budget.exhausted())) {
-            out_of_budget = true;
-          } else {
-            p_apply(report, strategy, budget, plans[applied], std::move(out.results[j]),
-                    capture_limit > 0 ? &out.captures[j] : nullptr, &deferred);
-          }
-          ++applied;
+      // Apply in submission order — the proposal order — so the report is
+      // bit-identical to the serial loop for the same plans. Result 0 is
+      // always applied: the serial loop runs and applies any plan next()
+      // returns, even when proposal-side charges (BFI's labels) crossed the
+      // budget limit while producing it. Once the budget exhausts, every
+      // later result is one a serial run would never have started.
+      for (std::size_t i = 0; i < plans.size(); ++i) {
+        if (i > 0 && budget.exhausted()) {
+          cancelled.store(true, std::memory_order_relaxed);
+          break;
+        }
+        PlanOutput out = in_flight[i].get();  // rethrows worker errors
+        p_apply(report, strategy, budget, plans[i], std::move(out.result),
+                capture_limit > 0 ? &out.captures : nullptr, &deferred);
+      }
+      // The tree may only be mutated once no task reads it. After a cancel,
+      // tasks already running finish their (discarded) simulation and the
+      // rest return at once; wait() rather than get() ignores their errors.
+      if (cancelled.load(std::memory_order_relaxed)) {
+        for (auto& task : in_flight) {
+          if (task.valid()) task.wait();
         }
       }
-      // The wave is fully drained: no worker holds a chunk, so the store
-      // can be mutated. Merging here (not inside p_apply) is what lets the
+      // Merging at the wave boundary (not inside p_apply) is what lets the
       // next wave's children resolve their parents' recordings without the
       // engine threads ever observing a mutation.
       for (PendingMerge& merge : deferred) {

@@ -53,9 +53,10 @@ class CampaignAborted : public std::runtime_error {
 
 struct CoordinatorOptions {
   std::uint16_t port = 0;  // 0 = kernel-assigned; read back via port()
-  // The protocol is unauthenticated, so exposure is an explicit choice:
-  // loopback by default; "0.0.0.0" (--bind) opens the trusted-network
-  // multi-host mode described in docs/DISTRIBUTED.md "Trust model".
+  // Registration is authenticated by shared token (auth_token) but the
+  // transport is plaintext, so exposure is an explicit choice: loopback by
+  // default; "0.0.0.0" (--bind) opens the trusted-network multi-host
+  // mode described in docs/DISTRIBUTED.md "Trust model".
   std::string bind_address = "127.0.0.1";
 
   // Liveness: workers send Heartbeat every heartbeat_interval_ms; a worker

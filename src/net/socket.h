@@ -131,9 +131,10 @@ class Socket {
 
 // A listening TCP socket. Binds on construction (port 0 = kernel-assigned;
 // read it back through port()), accepts with a poll() timeout. The bind
-// address is explicit because the frame protocol is unauthenticated
-// (docs/DISTRIBUTED.md "Trust model"): callers choose how far to expose it,
-// and the default is loopback-only.
+// address is explicit because the frame protocol, though its handshake is
+// authenticated by shared token, travels in plaintext (docs/DISTRIBUTED.md
+// "Trust model"): callers choose how far to expose it, and the default is
+// loopback-only.
 class Listener {
  public:
   explicit Listener(std::uint16_t port, const std::string& bind_address = "127.0.0.1") {

@@ -4,6 +4,10 @@
 // strategy's batch boundaries preserve the serial plan sequence.
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+#include <vector>
+
 #include "baselines/bfi.h"
 #include "baselines/random_injection.h"
 #include "baselines/stratified_bfi.h"
@@ -38,6 +42,86 @@ TEST(CheckerParallel, SabreParityAtFourWorkers) {
       checker.run_parallel(parallel_strategy, parallel_budget, /*workers=*/4);
 
   expect_reports_equal(serial, parallel);
+}
+
+// Odd and small pools: with one task per plan, a wave of ~10 plans splits
+// unevenly across 2 or 3 workers, so results complete out of submission
+// order and the in-order apply loop has to wait on stragglers.
+TEST(CheckerParallel, SabreParityAtTwoAndThreeWorkers) {
+  core::Checker& checker =
+      avis::testing::cached_checker(fw::Personality::kArduPilotLike, workload::WorkloadId::kAuto);
+  const core::MonitorModel& model = checker.model();
+  const auto suite = core::SimulationHarness::iris_suite();
+
+  core::SabreScheduler serial_strategy(suite, model.golden_transitions());
+  core::BudgetClock serial_budget(kBudgetMs);
+  const core::CheckerReport serial = checker.run(serial_strategy, serial_budget);
+
+  for (const int workers : {2, 3}) {
+    core::SabreScheduler parallel_strategy(suite, model.golden_transitions());
+    core::BudgetClock parallel_budget(kBudgetMs);
+    const core::CheckerReport parallel =
+        checker.run_parallel(parallel_strategy, parallel_budget, workers);
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    expect_reports_equal(serial, parallel);
+  }
+}
+
+// Forwards to a real strategy and counts the plans it hands out, so a test
+// can tell whether a campaign consumed plans it never applied.
+class CountingStrategy final : public core::InjectionStrategy {
+ public:
+  explicit CountingStrategy(core::InjectionStrategy& inner) : inner_(&inner) {}
+
+  std::optional<core::FaultPlan> next(core::BudgetClock& budget) override {
+    auto plan = inner_->next(budget);
+    if (plan) ++proposed;
+    return plan;
+  }
+  std::vector<core::FaultPlan> next_batch(core::BudgetClock& budget, int max_plans) override {
+    std::vector<core::FaultPlan> plans = inner_->next_batch(budget, max_plans);
+    proposed += static_cast<int>(plans.size());
+    return plans;
+  }
+  void feedback(const core::FaultPlan& plan, const core::ExperimentResult& result) override {
+    inner_->feedback(plan, result);
+  }
+  int chain_extension_limit() const override { return inner_->chain_extension_limit(); }
+  const char* name() const override { return inner_->name(); }
+
+  int proposed = 0;
+
+ private:
+  core::InjectionStrategy* inner_;
+};
+
+// Budgets that run out inside a SABRE expansion wave: the apply loop stops
+// at the discard boundary and cancels the rest of the wave, and the report
+// must still match the serial loop's, checkpoint counters included.
+TEST(CheckerParallel, SabreParityWhenBudgetEndsMidWave) {
+  core::Checker& checker =
+      avis::testing::cached_checker(fw::Personality::kArduPilotLike, workload::WorkloadId::kAuto);
+  const core::MonitorModel& model = checker.model();
+  const auto suite = core::SimulationHarness::iris_suite();
+
+  int mid_wave_endings = 0;
+  for (const sim::SimTimeMs budget_ms : {130000, 275000, 410000, 545000}) {
+    core::SabreScheduler serial_strategy(suite, model.golden_transitions());
+    core::BudgetClock serial_budget(budget_ms);
+    const core::CheckerReport serial = checker.run(serial_strategy, serial_budget);
+
+    core::SabreScheduler parallel_sabre(suite, model.golden_transitions());
+    CountingStrategy parallel_strategy(parallel_sabre);
+    core::BudgetClock parallel_budget(budget_ms);
+    const core::CheckerReport parallel =
+        checker.run_parallel(parallel_strategy, parallel_budget, /*workers=*/4);
+
+    SCOPED_TRACE("budget_ms=" + std::to_string(budget_ms));
+    expect_reports_equal(serial, parallel);
+    if (parallel_strategy.proposed > parallel.experiments) ++mid_wave_endings;
+  }
+  // The sweep is only worth its run time if the cancel path was taken.
+  EXPECT_GT(mid_wave_endings, 0) << "no budget ended inside a wave; pick other budgets";
 }
 
 TEST(CheckerParallel, RandomParityAtFourWorkers) {

@@ -163,8 +163,9 @@ int usage(const char* argv0) {
       << "  --workers N              total hardware budget for the worker split\n"
       << "  --cell-workers N         override: cells run concurrently\n"
       << "  --experiment-workers N   override: experiment pool size per cell\n"
-      << "  --batch-width N          lockstep simulation width per experiment worker\n"
-      << "                           (default: auto; reports are identical at any width)\n"
+      << "  --batch-width N          lockstep simulation width of single-worker cells;\n"
+      << "                           wider pools run one plan per task (default: auto;\n"
+      << "                           reports are identical at any width)\n"
       << "  --no-checkpoints         disable checkpointed prefix forking (A/B timing;\n"
       << "                           reports are bit-identical either way)\n"
       << "  --no-checkpoint-trees    keep the fault-free root but disable faulty-prefix\n"
@@ -191,8 +192,9 @@ int usage(const char* argv0) {
       << "  --serve PORT             coordinate: shard the grid across connected workers\n"
       << "                           (PORT 0 = kernel-assigned, logged on stderr)\n"
       << "  --bind ADDR              coordinator listen address (default 127.0.0.1;\n"
-      << "                           the protocol is unauthenticated — bind 0.0.0.0 only\n"
-      << "                           on a trusted network, see docs/DISTRIBUTED.md)\n"
+      << "                           --auth-token gates registration, but the transport\n"
+      << "                           is plaintext — bind 0.0.0.0 only on a trusted\n"
+      << "                           network, see docs/DISTRIBUTED.md)\n"
       << "  --worker HOST:PORT       join the coordinator at HOST:PORT as a worker\n"
       << "  --worker-id NAME         stable worker name in logs and report provenance\n"
       << "  --max-attempts N         assignment attempts per cell before the campaign\n"
