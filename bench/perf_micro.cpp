@@ -75,8 +75,16 @@ static void BM_BatchStep(benchmark::State& state) {
 }
 BENCHMARK(BM_BatchStep)->Arg(1)->Arg(4)->Arg(8);
 
+// A director that never fails a read but grants no lease: every read takes
+// the wire, the way replay and other stateful directors are served.
+class NoLeaseDirector final : public hinj::FaultDirector {
+ public:
+  bool should_fail(const sensors::SensorId&, std::int64_t) override { return false; }
+  void on_mode_update(std::uint16_t, std::string_view, std::int64_t) override {}
+};
+
 static void BM_HinjRoundTrip(benchmark::State& state) {
-  hinj::NullDirector director;
+  NoLeaseDirector director;
   hinj::Server server(director);
   hinj::Client client(server);
   const sensors::SensorId id{sensors::SensorType::kGyroscope, 0};
@@ -87,6 +95,22 @@ static void BM_HinjRoundTrip(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_HinjRoundTrip);
+
+// The same read under a lease (NullDirector leases every sensor for good,
+// ScheduledDirector up to its activation): answered by the client's lease
+// table without a frame.
+static void BM_HinjLeasedRead(benchmark::State& state) {
+  hinj::NullDirector director;
+  hinj::Server server(director);
+  hinj::Client client(server);
+  const sensors::SensorId id{sensors::SensorType::kGyroscope, 0};
+  std::int64_t t = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(client.sensor_read(id, ++t));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_HinjLeasedRead);
 
 // Provisioning cost of one experiment with and without a reusable arena.
 // Short runs (2 s simulated) make the per-run constant visible: Arg(0)

@@ -134,8 +134,9 @@ RunState SimulationHarness::p_provision(const ExperimentSpec& spec,
   } else {
     world.server.emplace(boot_director);
   }
-  // The client persists across runs: it is stateless between frames but
-  // owns the warmed-up request/response buffers.
+  // The client persists across runs: it owns the warmed-up request/response
+  // buffers. Leases it still holds from the previous run were revoked by the
+  // set_director above.
   if (!world.client) world.client.emplace(*world.server);
 
   world.channel.reset_link();

@@ -34,10 +34,12 @@
 namespace avis::core {
 
 // Engine-side fault director: injects the plan's failures at their
-// scheduled timestamps. should_fail is called for every sensor read of
-// every simulation step, so the plan is flattened at construction into a
-// per-instance earliest-activation table and each query is one array load
-// instead of a scan over the plan's events.
+// scheduled timestamps. The plan is flattened at construction into a
+// per-instance earliest-activation table, so each query is one array load
+// instead of a scan over the plan's events. should_fail(s, t) is
+// t >= activation[s], pure and monotone in t, so every pass is leased up to
+// the sensor's activation: the client asks once per instance and again at
+// the activation, where the read fails and the instance latches.
 class ScheduledDirector final : public hinj::FaultDirector {
  public:
   explicit ScheduledDirector(const FaultPlan& plan) {
@@ -53,6 +55,11 @@ class ScheduledDirector final : public hinj::FaultDirector {
   bool should_fail(const sensors::SensorId& sensor, std::int64_t time_ms) override {
     if (sensor.instance >= kMaxInstances) return false;
     return time_ms >= activation_[static_cast<std::size_t>(sensor.type)][sensor.instance];
+  }
+
+  std::int64_t pass_until(const sensors::SensorId& sensor, std::int64_t) override {
+    if (sensor.instance >= kMaxInstances) return FaultPlan::kNever;
+    return activation_[static_cast<std::size_t>(sensor.type)][sensor.instance];
   }
 
   void on_mode_update(std::uint16_t, std::string_view, std::int64_t) override {}
@@ -78,6 +85,10 @@ class RecordingDirector final : public hinj::FaultDirector {
 
   bool should_fail(const sensors::SensorId& sensor, std::int64_t time_ms) override {
     return inner_->should_fail(sensor, time_ms);
+  }
+
+  std::int64_t pass_until(const sensors::SensorId& sensor, std::int64_t time_ms) override {
+    return inner_->pass_until(sensor, time_ms);
   }
 
   void on_mode_update(std::uint16_t mode_id, std::string_view mode_name,

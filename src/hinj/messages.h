@@ -3,7 +3,10 @@
 // libhinj reports two things to the engine — mode transitions (via
 // hinj_update_mode, inserted at the firmware's single mode-set call site)
 // and sensor reads (via the call inserted into each driver's read()) — and
-// receives one thing back: the scheduler's per-read fail/pass decision.
+// receives one thing back: the scheduler's per-read fail/pass decision,
+// together with a read lease — the time up to which that sensor's reads
+// are known to pass (hinj::FaultDirector::pass_until), so the client can
+// answer them without another round trip.
 //
 // Two encode/decode paths share one wire layout:
 //  * the per-message-type encode_*() helpers write straight into a reusable
@@ -16,6 +19,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <string>
 #include <variant>
@@ -45,9 +49,12 @@ struct ReadRequest {
   sensors::SensorId sensor;
 };
 
-// Engine -> firmware: the scheduler's decision for that read.
+// Engine -> firmware: the scheduler's decision for that read, and the read
+// lease: reads of the same sensor at times before `pass_until` pass without
+// asking again. A lease at or below the read's own time grants nothing.
 struct ReadResponse {
   bool fail = false;
+  std::int64_t pass_until = std::numeric_limits<std::int64_t>::min();
 };
 
 // Firmware -> engine: liveness signal; the invariant monitor detects a dead
@@ -58,9 +65,10 @@ struct Heartbeat {
 
 using Message = std::variant<ModeUpdate, ReadRequest, ReadResponse, Heartbeat>;
 
-// Largest fixed-size frame (ReadRequest: type + i64 + 2x u8); reserving this
-// up front makes even the first frame through a fresh writer allocation-free
-// after the single warm-up growth.
+// Largest fixed-size frame (ReadRequest: type + i64 + 2x u8; ReadResponse,
+// type + u8 + i64, is one byte shorter); reserving this up front makes even
+// the first frame through a fresh writer allocation-free after the single
+// warm-up growth.
 inline constexpr std::size_t kFixedFrameCapacity = 11;
 
 // --- direct frame encoders (the zero-allocation path) ----------------------
@@ -81,14 +89,28 @@ inline void encode_read_request(ByteWriter& w, std::int64_t time_ms,
   w.u8(sensor.instance);
 }
 
-inline void encode_read_response(ByteWriter& w, bool fail) {
+inline void encode_read_response(ByteWriter& w, bool fail, std::int64_t pass_until) {
   w.u8(static_cast<std::uint8_t>(MessageType::kReadResponse));
   w.u8(fail ? 1 : 0);
+  w.i64(pass_until);
 }
 
 inline void encode_heartbeat(ByteWriter& w, std::int64_t time_ms) {
   w.u8(static_cast<std::uint8_t>(MessageType::kHeartbeat));
   w.i64(time_ms);
+}
+
+// --- shared field decoders -------------------------------------------------
+
+// A read request's sensor id. The type byte indexes per-type tables on both
+// sides of the wire (director activation tables, the client's lease table),
+// so a type outside the taxonomy is a malformed frame, not a sensor.
+inline sensors::SensorId decode_sensor_id(ByteReader& r) {
+  const std::uint8_t type = r.u8();
+  if (type >= sensors::kAllSensorTypes.size()) {
+    throw WireError("hinj read request names an unknown sensor type");
+  }
+  return {static_cast<sensors::SensorType>(type), r.u8()};
 }
 
 // --- variant wrappers -------------------------------------------------------
@@ -100,7 +122,7 @@ inline std::vector<std::uint8_t> encode(const Message& msg) {
   } else if (const auto* r = std::get_if<ReadRequest>(&msg)) {
     encode_read_request(w, r->time_ms, r->sensor);
   } else if (const auto* resp = std::get_if<ReadResponse>(&msg)) {
-    encode_read_response(w, resp->fail);
+    encode_read_response(w, resp->fail, resp->pass_until);
   } else if (const auto* h = std::get_if<Heartbeat>(&msg)) {
     encode_heartbeat(w, h->time_ms);
   }
@@ -121,13 +143,13 @@ inline Message decode(std::span<const std::uint8_t> bytes) {
     case MessageType::kReadRequest: {
       ReadRequest req;
       req.time_ms = r.i64();
-      req.sensor.type = static_cast<sensors::SensorType>(r.u8());
-      req.sensor.instance = r.u8();
+      req.sensor = decode_sensor_id(r);
       return req;
     }
     case MessageType::kReadResponse: {
       ReadResponse resp;
       resp.fail = r.u8() != 0;
+      resp.pass_until = r.i64();
       return resp;
     }
     case MessageType::kHeartbeat: {

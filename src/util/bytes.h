@@ -28,18 +28,11 @@ class ByteWriter {
  public:
   void u8(std::uint8_t v) { buf_.push_back(v); }
 
-  void u16(std::uint16_t v) {
-    buf_.push_back(static_cast<std::uint8_t>(v));
-    buf_.push_back(static_cast<std::uint8_t>(v >> 8));
-  }
+  void u16(std::uint16_t v) { p_put_le<2>(v); }
 
-  void u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
+  void u32(std::uint32_t v) { p_put_le<4>(v); }
 
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
+  void u64(std::uint64_t v) { p_put_le<8>(v); }
 
   void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
 
@@ -71,6 +64,15 @@ class ByteWriter {
   std::vector<std::uint8_t> take() { return std::move(buf_); }
 
  private:
+  // One append per field rather than one push_back (and capacity check)
+  // per byte; the compiler folds the byte loop into a single store.
+  template <int N>
+  void p_put_le(std::uint64_t v) {
+    std::uint8_t bytes[N] = {};
+    for (int i = 0; i < N; ++i) bytes[i] = static_cast<std::uint8_t>(v >> (8 * i));
+    buf_.insert(buf_.end(), bytes, bytes + N);
+  }
+
   std::vector<std::uint8_t> buf_;
 };
 

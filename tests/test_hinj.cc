@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
+#include "core/harness.h"
 #include "hinj/hinj.h"
 #include "hinj/messages.h"
 
@@ -34,10 +37,12 @@ TEST(HinjMessages, ReadResponseRoundTrip) {
   for (bool fail : {true, false}) {
     ReadResponse r;
     r.fail = fail;
+    r.pass_until = fail ? 43 : std::numeric_limits<std::int64_t>::max();
     const Message decoded = decode(encode(r));
     const auto* out = std::get_if<ReadResponse>(&decoded);
     ASSERT_NE(out, nullptr);
     EXPECT_EQ(out->fail, fail);
+    EXPECT_EQ(out->pass_until, r.pass_until);
   }
 }
 
@@ -61,6 +66,27 @@ TEST(HinjMessages, UnknownTypeThrows) {
   EXPECT_THROW(decode(bytes), WireError);
 }
 
+// A read request whose sensor-type byte is outside the taxonomy is malformed:
+// both decoders reject it before any director (whose activation table is
+// indexed by type) or lease table sees it.
+TEST(HinjMessages, UnknownSensorTypeThrows) {
+  core::FaultPlan plan;
+  plan.add(100, {sensors::SensorType::kGps, 0});
+  core::ScheduledDirector director(plan);
+  Server server(director);
+  for (std::uint8_t type : {std::uint8_t{6}, std::uint8_t{200}}) {
+    SCOPED_TRACE(static_cast<int>(type));
+    std::vector<std::uint8_t> frame{2, 50, 0, 0, 0, 0, 0, 0, 0, type, 0};
+    EXPECT_THROW(decode(frame), WireError);
+    EXPECT_THROW(server.handle(frame), WireError);
+    ByteWriter response;
+    EXPECT_THROW(server.handle_frame(frame, response), WireError);
+  }
+  // The last valid type still decodes.
+  std::vector<std::uint8_t> battery{2, 50, 0, 0, 0, 0, 0, 0, 0, 5, 0};
+  EXPECT_FALSE(server.handle(battery).empty());
+}
+
 // The fixed-size fast-path encoders must emit frames byte-identical to the
 // general encode(Message) path — the wire format is the isolation boundary,
 // so the fast path may not change a single byte of it.
@@ -72,8 +98,8 @@ TEST(HinjMessages, FastPathFramesMatchGeneralEncode) {
 
   for (bool fail : {true, false}) {
     w.clear();
-    encode_read_response(w, fail);
-    EXPECT_EQ(w.bytes(), encode(ReadResponse{fail}));
+    encode_read_response(w, fail, 30000);
+    EXPECT_EQ(w.bytes(), encode(ReadResponse{fail, 30000}));
   }
 
   w.clear();
@@ -137,6 +163,9 @@ class CountingDirector final : public FaultDirector {
     last_time = time_ms;
     return fail_next;
   }
+  std::int64_t pass_until(const sensors::SensorId& sensor, std::int64_t time_ms) override {
+    return lease != 0 ? lease : FaultDirector::pass_until(sensor, time_ms);
+  }
   void on_mode_update(std::uint16_t mode_id, std::string_view name,
                       std::int64_t time_ms) override {
     modes.emplace_back(mode_id, std::string(name), time_ms);
@@ -145,6 +174,8 @@ class CountingDirector final : public FaultDirector {
 
   int reads = 0;
   bool fail_next = false;
+  // 0 = the default (no lease); otherwise pass_until's answer.
+  std::int64_t lease = 0;
   sensors::SensorId last_sensor;
   std::int64_t last_time = 0;
   std::int64_t last_heartbeat = 0;
@@ -193,15 +224,73 @@ TEST(HinjClientServer, NullDirectorNeverFails) {
   }
 }
 
+TEST(HinjClientServer, LeasedReadsSkipTheDirectorUntilTheLeaseEnds) {
+  CountingDirector director;
+  director.lease = 100;
+  Server server(director);
+  Client client(server);
+  const sensors::SensorId gps{sensors::SensorType::kGps, 0};
+  const sensors::SensorId compass{sensors::SensorType::kCompass, 1};
+
+  EXPECT_FALSE(client.sensor_read(gps, 10));
+  for (std::int64_t t = 11; t < 100; ++t) EXPECT_FALSE(client.sensor_read(gps, t));
+  EXPECT_EQ(director.reads, 1);
+
+  // Leases are per instance: another sensor still asks.
+  EXPECT_FALSE(client.sensor_read(compass, 50));
+  EXPECT_EQ(director.reads, 2);
+
+  // At the lease's end the client asks again and gets the real answer.
+  director.fail_next = true;
+  EXPECT_TRUE(client.sensor_read(gps, 100));
+  EXPECT_EQ(director.reads, 3);
+}
+
+TEST(HinjClientServer, NoLeaseDirectorAsksOnEveryRead) {
+  CountingDirector director;
+  Server server(director);
+  Client client(server);
+  for (int t = 0; t < 50; ++t) client.sensor_read({sensors::SensorType::kGyroscope, 0}, t);
+  EXPECT_EQ(director.reads, 50);
+}
+
+TEST(HinjClientServer, ScheduledDirectorLeasesUpToTheActivation) {
+  core::FaultPlan plan;
+  plan.add(30, {sensors::SensorType::kGps, 0});
+  core::ScheduledDirector scheduled(plan);
+  Server server(scheduled);
+  Client client(server);
+  const sensors::SensorId gps{sensors::SensorType::kGps, 0};
+  for (std::int64_t t = 0; t < 30; ++t) EXPECT_FALSE(client.sensor_read(gps, t));
+  EXPECT_TRUE(client.sensor_read(gps, 30));
+  EXPECT_EQ(scheduled.pass_until(gps, 0), 30);
+  EXPECT_EQ(scheduled.pass_until({sensors::SensorType::kBarometer, 0}, 0),
+            core::FaultPlan::kNever);
+}
+
 TEST(HinjClientServer, DirectorSwappableMidRun) {
-  NullDirector null;
+  NullDirector null;  // leases every read for good
   CountingDirector counting;
   Server server(null);
   Client client(server);
-  EXPECT_FALSE(client.sensor_read({sensors::SensorType::kGps, 0}, 1));
+  const sensors::SensorId gps{sensors::SensorType::kGps, 0};
+  EXPECT_FALSE(client.sensor_read(gps, 1));
   server.set_director(counting);
   counting.fail_next = true;
-  EXPECT_TRUE(client.sensor_read({sensors::SensorType::kGps, 0}, 2));
+  EXPECT_TRUE(client.sensor_read(gps, 2));
+  EXPECT_EQ(counting.reads, 1);
+
+  // A director with a finite lease, swapped out before the lease ends for
+  // one that fails the sensor: the swap revokes the lease.
+  CountingDirector leasing;
+  leasing.lease = 1000;
+  server.set_director(leasing);
+  EXPECT_FALSE(client.sensor_read(gps, 3));
+  EXPECT_FALSE(client.sensor_read(gps, 4));
+  EXPECT_EQ(leasing.reads, 1);
+  server.set_director(counting);
+  EXPECT_TRUE(client.sensor_read(gps, 5));
+  EXPECT_EQ(counting.reads, 2);
 }
 
 }  // namespace

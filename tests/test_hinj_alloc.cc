@@ -1,8 +1,10 @@
 // Pins the hinj transport's zero-allocation guarantee: once the connection
-// buffers have warmed up, a sensor-read round trip (the inner loop of every
-// experiment — ~10 instrumented reads per 1 kHz firmware step) must not
-// touch the heap at all. A regression here silently re-introduces millions
-// of allocations per experiment, which is why it is a test and not a bench.
+// buffers have warmed up, neither a sensor-read round trip nor a read the
+// client answers from its lease table may touch the heap. Every live sensor
+// is read on every 1 kHz firmware step, and directors that grant no lease
+// (replay, test forwarders) take the wire on each of those reads, so a
+// regression here silently re-introduces millions of allocations per
+// experiment, which is why it is a test and not a bench.
 //
 // The counter hooks the global operator new/delete for this binary only;
 // gtest's own allocations are excluded by sampling the counter around the
@@ -51,8 +53,15 @@ void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::f
 namespace avis::hinj {
 namespace {
 
+// Never fails and grants no lease, so every read is a full round trip.
+class NoLeaseDirector final : public FaultDirector {
+ public:
+  bool should_fail(const sensors::SensorId&, std::int64_t) override { return false; }
+  void on_mode_update(std::uint16_t, std::string_view, std::int64_t) override {}
+};
+
 TEST(HinjAllocation, SteadyStateReadRoundTripAllocatesNothing) {
-  NullDirector director;
+  NoLeaseDirector director;
   Server server(director);
   Client client(server);
   const sensors::SensorId id{sensors::SensorType::kGyroscope, 0};
@@ -69,9 +78,27 @@ TEST(HinjAllocation, SteadyStateReadRoundTripAllocatesNothing) {
   EXPECT_EQ(after - before, 0u) << "hinj read round trip must be allocation-free";
 }
 
+TEST(HinjAllocation, SteadyStateLeasedReadAllocatesNothing) {
+  NullDirector director;  // leases every read for good
+  Server server(director);
+  Client client(server);
+  const sensors::SensorId id{sensors::SensorType::kGyroscope, 0};
+  for (std::int64_t t = 0; t < 16; ++t) client.sensor_read(id, t);
+
+  const std::size_t before = g_allocation_count.load(std::memory_order_relaxed);
+  bool failed = false;
+  for (std::int64_t t = 16; t < 100016; ++t) failed |= client.sensor_read(id, t);
+  const std::size_t after = g_allocation_count.load(std::memory_order_relaxed);
+
+  EXPECT_FALSE(failed);
+  EXPECT_EQ(after - before, 0u) << "a leased hinj read must be allocation-free";
+}
+
 TEST(HinjAllocation, SteadyStateReadWithScheduledDirectorAllocatesNothing) {
   // The production director (per-instance activation table) must keep the
-  // decision itself off the heap too.
+  // decision itself off the heap too: leased reads before the compass's
+  // activation, a round trip at it, and a round trip per failing read after
+  // (a failing answer grants no lease).
   core::FaultPlan plan;
   plan.add(30000, {sensors::SensorType::kCompass, 1});
   core::ScheduledDirector director(plan);
