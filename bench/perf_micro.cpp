@@ -26,6 +26,27 @@ static void BM_SimulatorStep(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatorStep);
 
+// The physics step of a landed, disarmed vehicle: zero commands after 20
+// simulated seconds of settling, long past the ~14.4 s the motor lag takes to
+// decay out of the normal range. Prices the subnormal flush in
+// QuadcopterDynamics::step: without it this row times subnormal arithmetic.
+static void BM_SimulatorStepLanded(benchmark::State& state) {
+  sim::Simulator simulator(sim::Environment{}, sim::QuadcopterParams{}, 1);
+  sim::MotorCommands idle;
+  for (double& v : idle.value) v = 0.45;
+  for (int i = 0; i < 2000; ++i) simulator.step(idle);
+  const sim::MotorCommands off;
+  for (int i = 0; i < 20000; ++i) simulator.step(off);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(simulator.step(off));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SimulatorStepLanded);
+
+// The firmware is never armed, so it commands zero from the first step and
+// the motors stay exactly 0.0: this prices sensing, estimation and control
+// around a disarmed vehicle, not flight physics or a motor spin-down.
 static void BM_FullFirmwareStep(benchmark::State& state) {
   util::Rng seeds(7);
   sensors::SensorSuite suite(core::SimulationHarness::iris_suite(), seeds);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 namespace avis::sim {
 
@@ -21,10 +22,28 @@ CrashCause QuadcopterDynamics::step(VehicleState& state, const MotorCommands& co
   }
 
   // First-order motor lag toward the commanded values.
+  //
+  // With a zero command the lag decays geometrically (x0.952 per 1 ms step),
+  // leaves the normal range ~14.4 s after the last command and, left alone,
+  // sticks at the smallest subnormal (4.94e-323) because alpha * m rounds to
+  // zero. Every later step would then do arithmetic on subnormal operands,
+  // several times slower than on normal numbers, and a landed, disarmed
+  // vehicle waiting out a workload timeout spends most of its run there. So a
+  // motor value below DBL_MIN is flushed to exactly 0.0. No observable bit
+  // changes, because a thrust below 4 * max_motor_thrust_n * DBL_MIN is
+  // absorbed wherever it goes:
+  //   - in force.z it is far below half an ulp of the weight;
+  //   - on the ground, ground support zeroes acceleration and velocity;
+  //   - its torques are far below half an ulp of angular_drag * body_rates
+  //     (the rates lose at most 0.3% per step and stay normal, ~1e-55 at the
+  //     longest run), or vanish once multiplied by dt;
+  //   - in power_w it is below kNegligibleThrustRatio.
   const double alpha = dt / (params_.motor_time_constant_s + dt);
   for (int i = 0; i < 4; ++i) {
     const double target = clamp01(commanded.value[i]);
-    state.motors.value[i] += alpha * (target - state.motors.value[i]);
+    double& motor = state.motors.value[i];
+    motor += alpha * (target - motor);
+    if (std::abs(motor) < std::numeric_limits<double>::min()) motor = 0.0;
   }
 
   // Thrust and torques from the quad-X mixer geometry.
@@ -120,15 +139,25 @@ CrashCause QuadcopterDynamics::step(VehicleState& state, const MotorCommands& co
   return CrashCause::kNone;
 }
 
-void QuadcopterDynamics::p_drain_battery(VehicleState& state, double thrust_n,
-                                         double dt) const {
+double QuadcopterDynamics::power_w(double thrust_n) const {
   // Power scales with thrust^1.5 (momentum theory), normalized to hover.
   const double hover_thrust = params_.mass_kg * params_.gravity;
   const double ratio = hover_thrust > 0.0 ? std::max(thrust_n / hover_thrust, 0.0) : 0.0;
+  // Below kNegligibleThrustRatio the thrust term is dropped. The shortcut is
+  // bit-exact: there hover_power_w * ratio^1.5 < hover_power_w * 1e-36, which
+  // is under half an ulp of kAvionicsPowerW (4.4e-16) for any hover_power_w
+  // below 1e20 W, so the sum rounds to kAvionicsPowerW anyway. It closes the
+  // window (ratio below ~2.8e-206) where ratio * sqrt(ratio) underflows into
+  // subnormals while the motors spin down.
+  if (ratio < kNegligibleThrustRatio) return kAvionicsPowerW;
   // r^1.5 as r*sqrt(r): pow() is by far the most expensive libm call in the
   // per-millisecond step and this identity keeps it out of the hot loop.
-  const double power = params_.hover_power_w * (ratio * std::sqrt(ratio)) + 5.0;
-  const double drained = power * dt / params_.battery_capacity_j;
+  return params_.hover_power_w * (ratio * std::sqrt(ratio)) + kAvionicsPowerW;
+}
+
+void QuadcopterDynamics::p_drain_battery(VehicleState& state, double thrust_n,
+                                         double dt) const {
+  const double drained = power_w(thrust_n) * dt / params_.battery_capacity_j;
   state.battery_remaining = std::max(0.0, state.battery_remaining - drained);
   state.battery_voltage = params_.empty_voltage + (params_.full_voltage - params_.empty_voltage) *
                                                       state.battery_remaining;

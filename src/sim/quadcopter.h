@@ -57,6 +57,14 @@ class QuadcopterDynamics {
   CrashCause step(VehicleState& state, const MotorCommands& commanded,
                   const Environment& env, double dt, util::Rng& rng) const;
 
+  // Electrical power drawn at total thrust `thrust_n`: the rotors'
+  // hover_power_w * (thrust / hover thrust)^1.5 plus a constant avionics load.
+  double power_w(double thrust_n) const;
+
+  static constexpr double kAvionicsPowerW = 5.0;
+  // Thrust/hover ratios below this draw exactly kAvionicsPowerW (see power_w).
+  static constexpr double kNegligibleThrustRatio = 1e-24;
+
  private:
   void p_drain_battery(VehicleState& state, double thrust_n, double dt) const;
 

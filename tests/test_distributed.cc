@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
@@ -179,13 +180,19 @@ TEST(Distributed, WorkerKilledMidCellIsReassigned) {
 // trips) but never reports; the per-cell deadline reclaims the cell.
 TEST(Distributed, HungWorkerPastDeadlineIsReassigned) {
   const auto cells = test_cells(1);
+  const Clock::time_point reference_start = Clock::now();
   const core::CampaignResult reference = single_process_reference(cells);
+  const auto reference_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                                Clock::now() - reference_start)
+                                .count();
 
   auto options = quick_options();
   options.allow_degraded = false;
   // Tight enough to keep the test quick, roomy enough that the rescuer's
-  // genuine run (~0.5 s including calibration) never trips it.
-  options.cell_deadline_ms = 3000;
+  // genuine run never trips it: the rescuer runs the same cell as the
+  // reference, so scale with what the reference took on this build and host
+  // (~0.5 s in a Release build, several times that under sanitizers).
+  options.cell_deadline_ms = std::max<std::int64_t>(3000, 4 * reference_ms);
   net::CampaignCoordinator coordinator(cells, options);
   const std::uint16_t port = coordinator.port();
 

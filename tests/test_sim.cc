@@ -1,5 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <vector>
+
+#if defined(__x86_64__)
+#include <xmmintrin.h>
+#endif
+
+#include "core/harness.h"
 #include "sim/environment.h"
 #include "sim/quadcopter.h"
 #include "sim/simulator.h"
@@ -144,6 +153,113 @@ TEST_F(QuadcopterTest, RollTorqueFromLeftRightSplit) {
   m.value = {0.4, 0.6, 0.6, 0.4};  // left motors (1=BL, 2=FL) faster -> +roll
   step_n(m, 200);
   EXPECT_GT(state_.body_rates.x, 0.05);
+}
+
+std::vector<double> doubles_of(const VehicleState& s) {
+  return {s.position.x,       s.position.y,        s.position.z,        s.velocity.x,
+          s.velocity.y,       s.velocity.z,        s.acceleration.x,    s.acceleration.y,
+          s.acceleration.z,   s.attitude.roll,     s.attitude.pitch,    s.attitude.yaw,
+          s.body_rates.x,     s.body_rates.y,      s.body_rates.z,      s.motors.value[0],
+          s.motors.value[1],  s.motors.value[2],   s.motors.value[3],   s.battery_voltage,
+          s.battery_remaining};
+}
+
+// A landed vehicle whose motors were spinning decays toward zero command for
+// the rest of the run. The decay must end at exactly 0.0 and never pass
+// through a subnormal state value, or every later step pays for subnormal
+// arithmetic.
+TEST_F(QuadcopterTest, MotorSpinDownEndsAtZeroWithoutSubnormals) {
+  // Idle on the ground just under hover throttle, with a yaw split so the
+  // body rates are nonzero too.
+  const double hover = 1.5 * 9.80665 / (4.0 * dynamics_.params().max_motor_thrust_n);
+  MotorCommands idle;
+  idle.value = {0.95 * hover, 0.95 * hover, 0.9 * hover, 0.9 * hover};
+  step_n(idle, 2000);
+  ASSERT_TRUE(state_.on_ground);
+  ASSERT_FALSE(state_.crashed);
+  ASSERT_GT(state_.body_rates.z, 0.0);
+
+  for (int i = 0; i < 30000; ++i) {  // 30 simulated seconds of zero command
+    dynamics_.step(state_, {}, env_, kStepSeconds, rng_);
+    for (double v : doubles_of(state_)) {
+      ASSERT_NE(std::fpclassify(v), FP_SUBNORMAL) << "step " << i << ": " << v;
+    }
+  }
+  for (double m : state_.motors.value) EXPECT_EQ(m, 0.0);
+  EXPECT_TRUE(state_.on_ground);
+}
+
+// power_w drops the thrust term below kNegligibleThrustRatio; the result must
+// equal the power-law formula bit for bit all the way down through the
+// subnormal ratios, for any physical hover power.
+TEST(QuadcopterPower, NegligibleThrustShortcutMatchesFormula) {
+  for (double hover_power_w : {180.0, 2.0e4, 1.0e19}) {
+    QuadcopterParams params;
+    params.hover_power_w = hover_power_w;
+    const QuadcopterDynamics dynamics(params);
+    const double hover_thrust = params.mass_kg * params.gravity;
+    int checked = 0;
+    // Ratios 2^-81 (~4e-25) down to the smallest subnormal, four per octave.
+    for (int exponent = -81; exponent >= -1074; --exponent) {
+      for (double mantissa : {1.0, 1.25, 1.5, 1.75}) {
+        const double thrust = std::ldexp(mantissa, exponent) * hover_thrust;
+        const double ratio = thrust / hover_thrust;
+        ASSERT_LT(ratio, QuadcopterDynamics::kNegligibleThrustRatio);
+        const double formula =
+            hover_power_w * (ratio * std::sqrt(ratio)) + QuadcopterDynamics::kAvionicsPowerW;
+        ASSERT_EQ(dynamics.power_w(thrust), formula)
+            << "hover " << hover_power_w << " ratio " << ratio;
+        ++checked;
+      }
+    }
+    EXPECT_EQ(checked, 994 * 4);
+    EXPECT_EQ(dynamics.power_w(0.0), QuadcopterDynamics::kAvionicsPowerW);
+  }
+}
+
+// Whole-run guard: reads and clears the x86-64 MXCSR denormal-operand sticky
+// flag after every harness step, over long runs that land and disarm early
+// and then wait out a workload timeout. A few short streaks are harmless (a
+// decaying value passing through the subnormal range); a run that keeps
+// touching subnormals for more than one simulated second has a decay that
+// sticks there, in physics, sensing, estimator or control.
+TEST(SubnormalGuard, LongLandedRunsDoNotDwellOnSubnormals) {
+#if !defined(__x86_64__)
+  GTEST_SKIP() << "reads the x86-64 MXCSR denormal-operand flag";
+#else
+  constexpr unsigned kDenormalOperand = 0x2;  // MXCSR DE
+  constexpr int kMaxStreakSteps = 1000;       // 1 simulated second
+  core::SimulationHarness harness;
+  int streak = 0;
+  int longest = 0;
+  harness.set_step_hook([&](SimTimeMs, const VehicleState&, const fw::Firmware&) {
+    const unsigned csr = _mm_getcsr();
+    _mm_setcsr(csr & ~kDenormalOperand);
+    streak = (csr & kDenormalOperand) != 0 ? streak + 1 : 0;
+    longest = std::max(longest, streak);
+  });
+  for (fw::Personality personality : {fw::Personality::kArduPilotLike, fw::Personality::kPx4Like}) {
+    for (workload::WorkloadId workload :
+         {workload::WorkloadId::kAuto, workload::WorkloadId::kBoxManual,
+          workload::WorkloadId::kFenceMission}) {
+      for (sensors::SensorType type : {sensors::SensorType::kBattery, sensors::SensorType::kGps,
+                                       sensors::SensorType::kBarometer}) {
+        core::ExperimentSpec spec;
+        spec.personality = personality;
+        spec.workload = workload;
+        spec.stop_on_violation = false;
+        spec.plan.add(5000, {type, 0});  // just after arming
+        streak = 0;
+        longest = 0;
+        _mm_setcsr(_mm_getcsr() & ~kDenormalOperand);
+        const core::ExperimentResult result = harness.run(spec);
+        EXPECT_LE(longest, kMaxStreakSteps)
+            << fw::to_string(personality) << "/" << workload::to_string(workload) << "/"
+            << sensors::to_string(type) << " (" << result.duration_ms << " ms run)";
+      }
+    }
+  }
+#endif
 }
 
 TEST(Environment, ObstacleContainment) {
