@@ -48,11 +48,11 @@ double process_cpu_seconds() {
 }  // namespace
 
 // Single-experiment hot path: fault-free monitored runs at batch width N.
-// Arg(0) is the scalar reference (SimulationHarness::run, the pre-batch
-// path); widths >= 1 go through the lockstep batch engine, whose gain is
-// the pre-injection estimator fast path plus per-lane-consecutive (tiled)
-// stepping. items/s is experiments per wall second, so the batch speedup
-// reads directly off the 0 vs 1/4/8 rows.
+// Arg(0) is SimulationHarness::run, the path every campaign experiment
+// takes; widths >= 1 go through the lockstep batch engine (the reference
+// the SoA blocks are measured against; no campaign path runs it). items/s
+// is experiments per wall second, so the two engines compare directly off
+// the 0 vs 1/4/8 rows.
 static void BM_SingleExperiment(benchmark::State& state) {
   const std::size_t width = static_cast<std::size_t>(state.range(0));
   core::Checker& checker = shared_checker();
@@ -81,8 +81,9 @@ static void BM_SingleExperiment(benchmark::State& state) {
 }
 BENCHMARK(BM_SingleExperiment)->Arg(0)->Arg(1)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);
 
-// Full SABRE campaign at N workers. Arg(1) runs the serial Checker::run
-// path; higher counts dispatch each plan of a wave to the worker pool. The
+// Full SABRE campaign at N workers. Arg(1) simulates every plan inline on
+// the caller thread; higher counts dispatch each plan of a wave to the
+// worker pool. The
 // reports are identical by construction (see tests/test_checker_parallel.cc),
 // so the runs are directly comparable: items/s is experiments per wall
 // second, real_time per iteration is the campaign wall time, and
@@ -99,9 +100,7 @@ static void BM_CheckerCampaign(benchmark::State& state) {
   for (auto _ : state) {
     core::SabreScheduler sabre(suite, model.golden_transitions());
     core::BudgetClock budget(kCampaignBudgetMs);
-    const core::CheckerReport report = workers <= 1
-                                           ? checker.run(sabre, budget)
-                                           : checker.run_parallel(sabre, budget, workers);
+    const core::CheckerReport report = checker.run_parallel(sabre, budget, workers);
     experiments += report.experiments;
     benchmark::DoNotOptimize(report);
   }
@@ -113,39 +112,6 @@ static void BM_CheckerCampaign(benchmark::State& state) {
       benchmark::Counter(experiments > 0 ? cpu_s / static_cast<double>(experiments) : 0.0);
 }
 BENCHMARK(BM_CheckerCampaign)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Unit(benchmark::kSecond)
-    ->UseRealTime()
-    ->MeasureProcessCPUTime();
-
-// Serial SABRE campaign at lockstep batch width W (single worker, so the
-// wall-time delta is the batch engine alone, with no pool effects mixed
-// in). Reports are bit-identical at every width (tests/test_batch.cc), so
-// experiments/campaign must not vary across rows — only wall time may.
-static void BM_CheckerBatchWidth(benchmark::State& state) {
-  const int width = static_cast<int>(state.range(0));
-  core::Checker& checker = shared_checker();
-  const core::MonitorModel& model = checker.model();
-  const auto suite = core::SimulationHarness::iris_suite();
-  checker.set_batch_width(width);
-
-  std::int64_t experiments = 0;
-  for (auto _ : state) {
-    core::SabreScheduler sabre(suite, model.golden_transitions());
-    core::BudgetClock budget(kCampaignBudgetMs);
-    const core::CheckerReport report = checker.run(sabre, budget);
-    experiments += report.experiments;
-    benchmark::DoNotOptimize(report);
-  }
-  checker.set_batch_width(0);
-  state.SetItemsProcessed(experiments);
-  state.counters["experiments/campaign"] = benchmark::Counter(
-      static_cast<double>(experiments) / static_cast<double>(state.iterations()));
-}
-BENCHMARK(BM_CheckerBatchWidth)
     ->Arg(1)
     ->Arg(2)
     ->Arg(4)

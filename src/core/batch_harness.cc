@@ -31,11 +31,6 @@ struct BatchHarness::Lane {
   const sim::Environment* env = nullptr;
   sim::SimTimeMs first_injection = 0;
   std::size_t result_slot = 0;
-  // Checkpoint-tree recording sink for this lane's run (engaged when the
-  // checker wants the plan recorded); filled by the scalar loop after the
-  // lane diverges — every capture time is past the first injection, so the
-  // batch stretch never captures.
-  std::optional<TreeCapture> tree_capture;
 };
 
 BatchHarness::BatchHarness(const SimulationHarness& harness) : harness_(&harness) {}
@@ -43,21 +38,10 @@ BatchHarness::~BatchHarness() = default;
 
 std::vector<ExperimentResult> BatchHarness::run(const std::vector<ExperimentSpec>& specs,
                                                 const MonitorModel* monitor_model,
-                                                const CheckpointStore* checkpoints,
-                                                sim::SimTimeMs budget_remaining_ms,
-                                                int tree_capture_limit,
-                                                std::vector<std::vector<ExperimentSnapshot>>*
-                                                    tree_captures) {
+                                                const CheckpointStore* checkpoints) {
   std::vector<ExperimentResult> results(specs.size());
-  if (tree_captures != nullptr) tree_captures->assign(specs.size(), {});
   if (specs.empty()) return results;
   while (lanes_.size() < specs.size()) lanes_.push_back(std::make_unique<Lane>());
-
-  budget_limit_ms_ = budget_remaining_ms;
-  done_ms_.assign(specs.size(), -1);
-  done_prefix_ = 0;
-  done_prefix_sum_ = 0;
-  abort_ = false;
 
   // Provision every lane exactly as the scalar path would (including its
   // own best-fit checkpoint restore). Lanes carry independent clocks — a
@@ -81,12 +65,6 @@ std::vector<ExperimentResult> BatchHarness::run(const std::vector<ExperimentSpec
     lane.recording.emplace(*lane.scheduled);
     lane.rs = harness_->p_provision(spec, *lane.recording, monitor_model, lane.world, resume);
     lane.env = &lane.world.simulator->environment();
-    lane.tree_capture.reset();
-    if (tree_capture_limit > 0 && checkpoints != nullptr && checkpoints->trees_enabled() &&
-        !spec.plan.events.empty() &&
-        static_cast<int>(spec.plan.events.size()) <= tree_capture_limit) {
-      lane.tree_capture.emplace(plan_tree_capture(spec, checkpoints->config()));
-    }
     // A lane that resumes at or past its first injection (a tree restore,
     // or a root snapshot landing exactly on the injection) has no
     // plan-independent stretch for the batched fast path to cover — its
@@ -94,48 +72,19 @@ std::vector<ExperimentResult> BatchHarness::run(const std::vector<ExperimentSpec
     // scalar loop instead; the batch blocks never see it.
     if (lane.rs.start_ms >= lane.first_injection ||
         lane.rs.start_ms >= spec.max_duration_ms) {
-      if (!abort_) {
-        harness_->p_loop(spec, lane.world, *lane.recording, lane.rs, nullptr,
-                         lane.tree_capture ? &*lane.tree_capture : nullptr);
-        results[idx] = harness_->p_finalize(spec, lane.world, *lane.recording, lane.rs);
-        p_note_done(idx, results[idx].duration_ms);
-      }
+      harness_->p_loop(spec, lane.world, *lane.recording, lane.rs, nullptr);
+      results[idx] = harness_->p_finalize(spec, lane.world, *lane.recording, lane.rs);
       continue;
     }
     group.push_back(&lane);
   }
 
-  if (!group.empty() && !abort_) p_run_group(group, monitor_model, results);
-
-  if (tree_captures != nullptr) {
-    for (std::size_t idx = 0; idx < specs.size(); ++idx) {
-      Lane& lane = *lanes_[idx];
-      if (lane.tree_capture) (*tree_captures)[idx] = std::move(lane.tree_capture->snapshots);
-    }
-  }
+  if (!group.empty()) p_run_group(group, results);
   return results;
 }
 
-void BatchHarness::p_note_done(std::size_t slot, sim::SimTimeMs duration_ms) {
-  if (budget_limit_ms_ < 0) return;
-  done_ms_[slot] = duration_ms;
-  while (done_prefix_ < done_ms_.size() && done_ms_[done_prefix_] >= 0) {
-    done_prefix_sum_ += done_ms_[done_prefix_];
-    ++done_prefix_;
-  }
-  // The checker applies results in slot order and discards everything after
-  // the first slot whose cumulative charge exhausts the budget. Everything
-  // still running sits after the done prefix, so once the prefix alone
-  // crosses the limit, no unfinished lane's result can ever be applied.
-  // Conservative by construction: extra apply-side charges only move the
-  // checker's discard boundary earlier, never later.
-  if (done_prefix_sum_ >= budget_limit_ms_) abort_ = true;
-}
-
 void BatchHarness::p_run_group(const std::vector<Lane*>& group,
-                               const MonitorModel* monitor_model,
                                std::vector<ExperimentResult>& results) {
-  (void)monitor_model;
   const int n = static_cast<int>(group.size());
 
   // The batch blocks, loaded from each lane's provisioned world. Everything
@@ -188,9 +137,8 @@ void BatchHarness::p_run_group(const std::vector<Lane*>& group,
   std::vector<sim::SimTimeMs> clock(static_cast<std::size_t>(n));
   for (int k = 0; k < n; ++k) clock[static_cast<std::size_t>(k)] = group[static_cast<std::size_t>(k)]->rs.start_ms;
 
-  while (!active.empty() && !abort_) {
+  while (!active.empty()) {
     for (std::size_t a = 0; a < active.size();) {
-      if (abort_) break;  // unfinished slots are past the discard boundary
       const int k = active[a];
       Lane& lane = *group[static_cast<std::size_t>(k)];
       sim::VehicleState& lane_truth = truth[static_cast<std::size_t>(k)];
@@ -207,11 +155,9 @@ void BatchHarness::p_run_group(const std::vector<Lane*>& group,
         if (now >= lane.spec->max_duration_ms || now >= lane.first_injection) {
           leave_batch(k, now);
           lane.rs.start_ms = now;
-          harness_->p_loop(*lane.spec, lane.world, *lane.recording, lane.rs, nullptr,
-                           lane.tree_capture ? &*lane.tree_capture : nullptr);
+          harness_->p_loop(*lane.spec, lane.world, *lane.recording, lane.rs, nullptr);
           results[lane.result_slot] =
               harness_->p_finalize(*lane.spec, lane.world, *lane.recording, lane.rs);
-          p_note_done(lane.result_slot, results[lane.result_slot].duration_ms);
           gone = true;
           break;
         }
@@ -312,7 +258,6 @@ void BatchHarness::p_run_group(const std::vector<Lane*>& group,
           leave_batch(k, now + 1);
           results[lane.result_slot] =
               harness_->p_finalize(*lane.spec, lane.world, *lane.recording, lane.rs);
-          p_note_done(lane.result_slot, results[lane.result_slot].duration_ms);
           gone = true;
           break;
         }

@@ -1,7 +1,12 @@
-// Batched lockstep simulation (ROADMAP: "Batched lockstep simulation").
+// Batched lockstep simulation: the parity reference and benchmark subject
+// for the structure-of-arrays step, not a campaign engine. No checker,
+// campaign, fuzz or distributed path runs it — every campaign experiment
+// runs on SimulationHarness::run. It stays because tests/test_batch.cc pins
+// the SoA blocks' bit-identity to the scalar loop through it, and the
+// campaign benchmark's traced loop measures the same blocks against it.
 //
-// A checker campaign's experiments share their entire spec except the fault
-// plan, and a run is plan-independent strictly before the plan's earliest
+// A campaign's experiments share their entire spec except the fault plan,
+// and a run is plan-independent strictly before the plan's earliest
 // activation. BatchHarness exploits that: it takes a batch of specs, packs
 // each one's freshly provisioned (or checkpoint-restored) world into
 // structure-of-arrays lanes — sim::QuadcopterBatch, sensors::SuiteBatch,
@@ -25,7 +30,6 @@
 #pragma once
 
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "core/checkpoint.h"
@@ -46,88 +50,19 @@ class BatchHarness {
   // Run `specs` in lockstep; results in spec order, each bit-identical to
   // the scalar path. All specs must share the checkpoint store's scenario
   // when one is given (same contract as SimulationHarness::run). Lane worlds
-  // are pooled across calls (the arena-reuse contract), so a long campaign
-  // provisions by resetting retained storage, exactly like the scalar pool.
-  //
-  // `budget_remaining_ms` >= 0 enables discard-aware early abort for a
-  // budgeted caller (Checker::run): once every lane before slot j has
-  // finished and their summed durations reach the remaining budget, the
-  // checker's mid-batch discard rule is guaranteed to throw away every
-  // later result, so the engine stops simulating those lanes. Aborted slots
-  // return a default ExperimentResult — callers that pass a budget must not
-  // read past the discard boundary (the checker's apply loop never does).
-  // The default (-1) runs every lane to completion.
-  //
-  // Checkpoint-tree recording: `tree_capture_limit` > 0 records lanes whose
-  // plan has at most that many events (the strategy's chain_extension_limit
-  // — plans it may later extend); the captured snapshots land in
-  // `tree_captures` (resized to specs.size(); empty for unrecorded lanes).
-  // The caller merges them into the store between waves — this engine only
-  // ever reads the store.
+  // are pooled across calls (the arena-reuse contract), so repeated calls
+  // provision by resetting retained storage, exactly like the scalar pool.
   std::vector<ExperimentResult> run(const std::vector<ExperimentSpec>& specs,
                                     const MonitorModel* monitor_model = nullptr,
-                                    const CheckpointStore* checkpoints = nullptr,
-                                    sim::SimTimeMs budget_remaining_ms = -1,
-                                    int tree_capture_limit = 0,
-                                    std::vector<std::vector<ExperimentSnapshot>>* tree_captures =
-                                        nullptr);
-
-  // Pool support: a reused BatchHarness may be handed to a different (but
-  // equivalent) harness instance.
-  void rebind(const SimulationHarness& harness) { harness_ = &harness; }
+                                    const CheckpointStore* checkpoints = nullptr);
 
  private:
   struct Lane;
 
-  void p_run_group(const std::vector<Lane*>& group, const MonitorModel* monitor_model,
-                   std::vector<ExperimentResult>& results);
-  // Records a finished lane's duration and advances the contiguous done
-  // prefix; flips abort_ once the prefix alone exhausts the caller's budget.
-  void p_note_done(std::size_t slot, sim::SimTimeMs duration_ms);
+  void p_run_group(const std::vector<Lane*>& group, std::vector<ExperimentResult>& results);
 
   const SimulationHarness* harness_;
   std::vector<std::unique_ptr<Lane>> lanes_;  // pooled lane worlds
-
-  // Per-run early-abort bookkeeping (see run()'s budget_remaining_ms).
-  sim::SimTimeMs budget_limit_ms_ = -1;
-  std::vector<sim::SimTimeMs> done_ms_;  // -1 = slot still running
-  std::size_t done_prefix_ = 0;          // slots [0, done_prefix_) all finished
-  sim::SimTimeMs done_prefix_sum_ = 0;
-  bool abort_ = false;
-};
-
-// Hands batch engines to pool workers, mirroring ExperimentContextPool: one
-// engine per in-flight batch, reused by whichever worker runs the next one,
-// free list capped at the peak concurrent checkout so idle engines (and the
-// lane worlds they retain) cannot outlive the pool's actual concurrency.
-class BatchHarnessPool {
- public:
-  std::unique_ptr<BatchHarness> acquire(const SimulationHarness& harness) {
-    std::lock_guard lock(mutex_);
-    ++checked_out_;
-    high_water_ = std::max(high_water_, checked_out_);
-    if (!free_.empty()) {
-      std::unique_ptr<BatchHarness> engine = std::move(free_.back());
-      free_.pop_back();
-      engine->rebind(harness);
-      return engine;
-    }
-    return std::make_unique<BatchHarness>(harness);
-  }
-
-  void release(std::unique_ptr<BatchHarness> engine) {
-    std::lock_guard lock(mutex_);
-    if (checked_out_ > 0) --checked_out_;
-    if (free_.size() + checked_out_ < high_water_) {
-      free_.push_back(std::move(engine));
-    }
-  }
-
- private:
-  mutable std::mutex mutex_;
-  std::vector<std::unique_ptr<BatchHarness>> free_;
-  std::size_t checked_out_ = 0;
-  std::size_t high_water_ = 0;
 };
 
 }  // namespace avis::core

@@ -8,11 +8,11 @@
 #include <atomic>
 #include <future>
 #include <map>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "core/batch_harness.h"
 #include "core/budget.h"
 #include "core/coverage.h"
 #include "core/harness.h"
@@ -43,9 +43,10 @@ struct CheckerReport {
   // Mode-graph edge coverage over every applied experiment, keyed by
   // (edge, injection-window bucket) — see core/coverage.h. Derived from the
   // applied-result sequence like bug_first_found, and from transitions that
-  // are bit-identical across worker counts, batch widths and checkpoint
-  // modes, so it is part of report identity (NOT masked the way the
-  // checkpoint_* counters are).
+  // are bit-identical across worker counts and checkpoint modes, so it is
+  // part of report identity at every checkpoint setting (the checkpoint_*
+  // counters below are identical only between runs with the same
+  // checkpoint configuration).
   CoverageMap edge_coverage;
 
   // Checkpointed prefix forking observability (docs/PERFORMANCE.md): how
@@ -56,6 +57,12 @@ struct CheckerReport {
   // total simulated milliseconds the restores skipped.
   // Wall-clock accounting only: the reported experiments, budget charges
   // and unsafe records are bit-identical with checkpointing on or off.
+  // Under one checkpoint configuration every checkpoint_* counter is a
+  // function of the applied plan sequence: tree merges land at wave
+  // boundaries at every worker count and a strategy proposes a chain's
+  // parent in an earlier wave than its children, so runs at different
+  // worker counts count identically (report-identity checks compare them
+  // exactly).
   int checkpoint_hits = 0;
   int checkpoint_misses = 0;
   int checkpoint_evicted = 0;
@@ -63,10 +70,7 @@ struct CheckerReport {
   // Per-level restore counters (checkpoint trees): index 0 counts restores
   // from the fault-free root, index d >= 1 restores from a tree snapshot
   // with d injections already activated. Sums to checkpoint_hits. Sized to
-  // the deepest level hit. Like every checkpoint counter this is wall-clock
-  // observability; serial and parallel runs may count coincidental prefix
-  // hits differently (wave timing decides what is recorded when a plan
-  // resolves), which is why report-identity checks mask checkpoint_*.
+  // the deepest level hit.
   std::vector<int> checkpoint_hits_by_level;
   // Tree snapshots evicted under byte-budget pressure (root evictions stay
   // in checkpoint_evicted).
@@ -135,33 +139,43 @@ class Checker {
     return *model_;
   }
 
-  // Lockstep batch width for experiment simulation: how many independent
-  // plans the strategy hands out at a time to be stepped together through
-  // core::BatchHarness (bit-identical to one-at-a-time scalar runs — the
-  // batch engine's contract). 0 (the default) means auto, currently
-  // kAutoBatchWidth; width 1 still routes through the batch engine as a
-  // degenerate single-lane batch. Applies to run() only: run_parallel()
-  // simulates each plan as its own single-lane task and uses the width
-  // just to size its wave request. Profiling and prefix recording stay
-  // scalar.
-  static constexpr int kAutoBatchWidth = 4;
   // Slack every experiment gets past the profiled mission duration before
   // it is cut off (p_make_spec); a safe run that uses all of it counts as
   // stalled (CheckerReport::stalled_runs).
   static constexpr sim::SimTimeMs kSettleMs = 45000;
-  void set_batch_width(int width) { batch_width_ = width; }
-  int batch_width() const { return batch_width_ > 0 ? batch_width_ : kAutoBatchWidth; }
+  // Plans requested per worker per wave: enough to keep every worker busy
+  // while the caller thread applies results. Strategies may return fewer
+  // (SABRE stops at its expansion-wave boundary to preserve the plan
+  // sequence), and near the budget boundary p_adaptive_width shrinks the
+  // request. A strategy's plan sequence is independent of the request size
+  // (the next_batch contract), so this moves wall clock only.
+  static constexpr int kWavePlansPerWorker = 8;
 
-  // Serial checker loop, batched: up to batch_width() plans per strategy
-  // request, stepped in lockstep, results applied in proposal order. If the
-  // budget exhausts mid-batch the remaining results are discarded — exactly
-  // the experiments a width-1 loop would never have started — so the report
-  // is bit-identical to the historical one-at-a-time loop. Like
-  // run_parallel, discarded plans were already consumed from the strategy,
-  // so a strategy that went through a batched run should not be resumed
-  // with a fresh budget (no current caller does).
+  // The checker loop at one worker: every plan is simulated inline on the
+  // caller thread, so a plan past the discard boundary is never simulated.
   CheckerReport run(InjectionStrategy& strategy, BudgetClock& budget) {
+    return run_parallel(strategy, budget, 1);
+  }
+
+  // The checker loop: strategies hand out a wave of independent plans, each
+  // plan is simulated by SimulationHarness::run on a pooled context —
+  // inline at one worker, as its own pool task otherwise — and results are
+  // applied on this thread in submission order. Budget charging, feedback()
+  // and UnsafeRecord collection are therefore single-threaded, so
+  // BudgetClock needs no locking and the report is a function of the plan
+  // sequence alone, identical at every worker count. If the budget
+  // exhausts mid-wave, the rest of the wave is cancelled: plans that have
+  // not started return without simulating, and no result past the boundary
+  // is applied. Those discarded plans were already consumed from the
+  // strategy, so a strategy object that went through a campaign should not
+  // be resumed with a fresh budget (no current caller does). See
+  // docs/PERFORMANCE.md.
+  CheckerReport run_parallel(InjectionStrategy& strategy, BudgetClock& budget, int workers) {
+    workers = std::max(workers, 1);
     const MonitorModel& monitor = model();
+    // Recorded on this thread before any plan is dispatched; simulations
+    // then share the store strictly read-only. Tree merges are deferred to
+    // the end of each wave (below) to keep that invariant.
     const CheckpointStore* checkpoints = p_checkpoints(monitor);
     // Per-campaign tree: every campaign over this checker starts from an
     // empty tree so its hit counters (and plan recordings) are a function
@@ -170,130 +184,63 @@ class Checker {
     const int capture_limit =
         checkpoints != nullptr && checkpoints->trees_enabled() ? strategy.chain_extension_limit()
                                                                : 0;
-    CheckerReport report;
-    report.strategy_name = strategy.name();
-    auto engine = engines_.acquire(harness_);
-    bool out_of_budget = false;
-    std::vector<std::vector<ExperimentSnapshot>> captures;
-    while (!out_of_budget && !budget.exhausted()) {
-      std::vector<FaultPlan> plans =
-          strategy.next_batch(budget, p_adaptive_width(budget, batch_width()));
-      if (plans.empty()) break;
-      std::vector<ExperimentSpec> specs;
-      specs.reserve(plans.size());
-      for (const FaultPlan& plan : plans) specs.push_back(p_make_spec(plan, monitor));
-      // Handing the engine the remaining budget lets it stop simulating
-      // lanes whose results the discard loop below is guaranteed to throw
-      // away (see BatchHarness::run) — the discarded slots are then default
-      // results this loop never reads.
-      std::vector<ExperimentResult> results =
-          engine->run(specs, &monitor, checkpoints, budget.remaining_ms(), capture_limit,
-                      capture_limit > 0 ? &captures : nullptr);
-      for (std::size_t i = 0; i < results.size(); ++i) {
-        if (out_of_budget || (i > 0 && budget.exhausted())) {
-          out_of_budget = true;
-          continue;
-        }
-        // The engine is idle between waves, so merges land inline (the
-        // parallel loop defers them instead — see run_parallel).
-        p_apply(report, strategy, budget, plans[i], std::move(results[i]),
-                capture_limit > 0 ? &captures[i] : nullptr, nullptr);
-      }
-    }
-    engines_.release(std::move(engine));
-    report.labels = budget.labels();
-    report.budget_used_ms = budget.used_ms();
-    report.checkpoint_evicted = checkpoints != nullptr ? checkpoints->evicted() : 0;
-    report.checkpoint_tree_evicted = checkpoints != nullptr ? checkpoints->tree_evicted() : 0;
-    return report;
-  }
-
-  // Parallel variant: strategies hand out a wave of independent plans, the
-  // pool simulates each plan as its own task, and results are applied on
-  // this thread in submission order. Budget charging, feedback() and
-  // UnsafeRecord collection are therefore single-threaded, so BudgetClock
-  // needs no locking and the report is bit-identical to run() for the same
-  // plan sequence. If the budget exhausts mid-wave, the rest of the wave is
-  // cancelled: tasks that have not started return without simulating, and
-  // no result past the boundary is applied — exactly the experiments a
-  // serial run would never have started. Those discarded plans were already
-  // consumed from the strategy, so a strategy object that went through
-  // run_parallel should not be resumed with a fresh budget (no current
-  // caller does; serial run() has no such caveat). See docs/PERFORMANCE.md.
-  CheckerReport run_parallel(InjectionStrategy& strategy, BudgetClock& budget, int workers) {
-    if (workers <= 1) return run(strategy, budget);
-    const MonitorModel& monitor = model();
-    // Recorded on this thread before any plan is dispatched; workers then
-    // share the store strictly read-only. Tree merges are deferred to the
-    // end of each wave (below) to keep that invariant.
-    const CheckpointStore* checkpoints = p_checkpoints(monitor);
-    if (checkpoints_) checkpoints_->clear_tree();
-    const int capture_limit =
-        checkpoints != nullptr && checkpoints->trees_enabled() ? strategy.chain_extension_limit()
-                                                               : 0;
     // Set by the apply loop at the discard boundary; ends the campaign.
-    // Declared before the pool so it outlives every task the pool may
-    // still hold.
     std::atomic<bool> cancelled{false};
-    util::ThreadPool pool(workers);
+    // One plan, start to finish, on whichever context the pool hands out,
+    // so consecutive plans reset a world in place instead of reallocating
+    // it (the arena-reuse contract). Plans the strategy may later extend
+    // (at most capture_limit events) are recorded for the checkpoint tree.
+    // An exception skips the release and simply retires the context.
+    const auto simulate = [this, &monitor, checkpoints, capture_limit,
+                           &cancelled](const FaultPlan& plan) {
+      PlanOutput out;
+      if (cancelled.load(std::memory_order_relaxed)) return out;
+      const ExperimentSpec spec = p_make_spec(plan, monitor);
+      std::optional<TreeCapture> capture;
+      if (!plan.events.empty() && static_cast<int>(plan.events.size()) <= capture_limit) {
+        capture.emplace(plan_tree_capture(spec, checkpoints->config()));
+      }
+      auto context = contexts_.acquire();
+      out.result = harness_.run(spec, &monitor, context.get(), checkpoints,
+                                capture ? &*capture : nullptr);
+      contexts_.release(std::move(context));
+      if (capture) out.captures = std::move(capture->snapshots);
+      return out;
+    };
+    // Declared after everything its tasks reference, so it is destroyed
+    // (joining any task still running) first.
+    std::optional<util::ThreadPool> pool;
+    if (workers > 1) pool.emplace(workers);
     CheckerReport report;
     report.strategy_name = strategy.name();
-    struct PlanOutput {
-      ExperimentResult result;
-      std::vector<ExperimentSnapshot> captures;
-    };
     std::vector<PendingMerge> deferred;
     while (!cancelled.load(std::memory_order_relaxed) && !budget.exhausted()) {
-      // Two lockstep widths of plans per worker keep the pool saturated
-      // while the caller thread applies results; strategies may return fewer
-      // (SABRE stops at its expansion-wave boundary to preserve the serial
-      // plan sequence). Near the budget boundary the adaptive cap shrinks
-      // the request, so a wave overshoots the budget by few experiments.
-      std::vector<FaultPlan> plans =
-          strategy.next_batch(budget, p_adaptive_width(budget, 2 * workers * batch_width()));
+      std::vector<FaultPlan> plans = strategy.next_batch(
+          budget, p_adaptive_width(budget, kWavePlansPerWorker * workers));
       if (plans.empty()) break;
-      // One task per plan: a wave of ~10 plans keeps every worker busy,
-      // where width-sized chunks would step up to `width` experiments in
-      // series on one thread while other workers idle.
+      // One task per plan, each owning a copy of its plan: a wave of ~10
+      // plans keeps every worker busy, and a task never reads this loop's
+      // storage.
       std::vector<std::future<PlanOutput>> in_flight;
-      in_flight.reserve(plans.size());
-      for (const FaultPlan& plan : plans) {
-        std::vector<ExperimentSpec> specs;
-        specs.push_back(p_make_spec(plan, monitor));
-        in_flight.push_back(pool.submit([this, specs = std::move(specs), &monitor, checkpoints,
-                                         capture_limit, &cancelled] {
-          PlanOutput out;
-          if (cancelled.load(std::memory_order_relaxed)) return out;
-          // Per-worker engine: whichever worker picks this plan up checks a
-          // batch engine out for the duration, so its lane world is reset,
-          // not reallocated, from one plan to the next (the arena-reuse
-          // contract). An exception skips the release and simply retires
-          // the engine.
-          auto engine = engines_.acquire(harness_);
-          std::vector<std::vector<ExperimentSnapshot>> captures;
-          std::vector<ExperimentResult> results =
-              engine->run(specs, &monitor, checkpoints, -1, capture_limit,
-                          capture_limit > 0 ? &captures : nullptr);
-          engines_.release(std::move(engine));
-          out.result = std::move(results.front());
-          if (!captures.empty()) out.captures = std::move(captures.front());
-          return out;
-        }));
+      if (pool) {
+        in_flight.reserve(plans.size());
+        for (const FaultPlan& plan : plans) {
+          in_flight.push_back(pool->submit([&simulate, plan] { return simulate(plan); }));
+        }
       }
-      // Apply in submission order — the proposal order — so the report is
-      // bit-identical to the serial loop for the same plans. Result 0 is
-      // always applied: the serial loop runs and applies any plan next()
-      // returns, even when proposal-side charges (BFI's labels) crossed the
-      // budget limit while producing it. Once the budget exhausts, every
-      // later result is one a serial run would never have started.
+      // Apply in submission order — the proposal order. Result 0 is always
+      // applied: any plan next() returns is run and applied, even when
+      // proposal-side charges (BFI's labels) crossed the budget limit while
+      // producing it. Once the budget exhausts, every later result is
+      // discarded — at one worker it is never simulated at all.
       for (std::size_t i = 0; i < plans.size(); ++i) {
         if (i > 0 && budget.exhausted()) {
           cancelled.store(true, std::memory_order_relaxed);
           break;
         }
-        PlanOutput out = in_flight[i].get();  // rethrows worker errors
-        p_apply(report, strategy, budget, plans[i], std::move(out.result),
-                capture_limit > 0 ? &out.captures : nullptr, &deferred);
+        PlanOutput out = pool ? in_flight[i].get()  // rethrows worker errors
+                              : simulate(plans[i]);
+        p_apply(report, strategy, budget, plans[i], std::move(out), deferred);
       }
       // The tree may only be mutated once no task reads it. After a cancel,
       // tasks already running finish their (discarded) simulation and the
@@ -304,8 +251,9 @@ class Checker {
         }
       }
       // Merging at the wave boundary (not inside p_apply) is what lets the
-      // next wave's children resolve their parents' recordings without the
-      // engine threads ever observing a mutation.
+      // next wave's children resolve their parents' recordings without a
+      // simulation ever observing a mutation — at every worker count, so
+      // the checkpoint counters do not depend on it.
       for (PendingMerge& merge : deferred) {
         checkpoints_->merge_run(merge.plan, std::move(merge.snapshots), std::move(merge.trace),
                                 std::move(merge.transitions));
@@ -397,9 +345,16 @@ class Checker {
     return &*checkpoints_;
   }
 
+  // One simulated plan: its result and, when the run was recorded for the
+  // checkpoint tree, the captured snapshots.
+  struct PlanOutput {
+    ExperimentResult result;
+    std::vector<ExperimentSnapshot> captures;
+  };
+
   // One finished directed run waiting to be merged into the checkpoint
-  // tree at the wave boundary (run_parallel defers merges so worker threads
-  // only ever read the store).
+  // tree at the wave boundary (merges are deferred so simulations only ever
+  // read the store).
   struct PendingMerge {
     FaultPlan plan;
     std::vector<ExperimentSnapshot> snapshots;
@@ -409,12 +364,11 @@ class Checker {
 
   // Applies one result: budget charge, counters, strategy feedback, unsafe
   // record, and — when the run was recorded for the checkpoint tree
-  // (`captured` non-null and non-empty) — the tree merge, inline when
-  // `deferred` is null or queued onto it otherwise. Unsafe runs are never
-  // merged: the strategies only extend bug-free chains.
+  // (non-empty captures) — a tree merge queued onto `deferred`. Unsafe runs
+  // are never merged: the strategies only extend bug-free chains.
   void p_apply(CheckerReport& report, InjectionStrategy& strategy, BudgetClock& budget,
-               const FaultPlan& plan, ExperimentResult result,
-               std::vector<ExperimentSnapshot>* captured, std::vector<PendingMerge>* deferred) {
+               const FaultPlan& plan, PlanOutput out, std::vector<PendingMerge>& deferred) {
+    ExperimentResult& result = out.result;
     budget.charge_experiment(result.duration_ms);
     ++report.experiments;
     // Before the moves below: unsafe runs donate their transitions to the
@@ -448,14 +402,9 @@ class Checker {
         report.bug_first_found.try_emplace(id, report.experiments);
       }
       report.unsafe.push_back(std::move(record));
-    } else if (captured != nullptr && !captured->empty() && checkpoints_) {
-      if (deferred == nullptr) {
-        checkpoints_->merge_run(plan, std::move(*captured), std::move(result.trace),
-                                std::move(result.transitions));
-      } else {
-        deferred->push_back(PendingMerge{plan, std::move(*captured), std::move(result.trace),
-                                         std::move(result.transitions)});
-      }
+    } else if (!out.captures.empty() && checkpoints_) {
+      deferred.push_back(PendingMerge{plan, std::move(out.captures), std::move(result.trace),
+                                      std::move(result.transitions)});
     }
   }
 
@@ -463,8 +412,6 @@ class Checker {
   CheckpointConfig checkpoint_config_;
   SimulationHarness harness_;
   ExperimentContextPool contexts_;
-  BatchHarnessPool engines_;
-  int batch_width_ = 0;  // 0 = auto (kAutoBatchWidth)
   std::optional<MonitorModel> model_;
   std::optional<CheckpointStore> checkpoints_;
 };

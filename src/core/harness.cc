@@ -9,9 +9,10 @@ namespace avis::core {
 ExperimentResult SimulationHarness::run(const ExperimentSpec& spec,
                                         const MonitorModel* monitor_model,
                                         ExperimentContext* context,
-                                        const CheckpointStore* checkpoints) const {
+                                        const CheckpointStore* checkpoints,
+                                        TreeCapture* tree_capture) const {
   ScheduledDirector director(spec.plan);
-  return p_run(spec, director, monitor_model, context, checkpoints, nullptr);
+  return p_run(spec, director, monitor_model, context, checkpoints, nullptr, tree_capture);
 }
 
 ExperimentResult SimulationHarness::run_with_director(const ExperimentSpec& spec,

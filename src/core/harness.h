@@ -274,10 +274,14 @@ class SimulationHarness {
   // minus the plan, same monitored-ness — record_prefix below): the run
   // then restores the latest snapshot at-or-before the plan's first
   // injection and simulates only the suffix, bit-identical to a cold run
-  // (result.resumed_from_ms records the skip).
+  // (result.resumed_from_ms records the skip). `tree_capture`, when given,
+  // records checkpoint-tree snapshots on its schedule (plan_tree_capture)
+  // into tree_capture->snapshots; merging them into a store is the
+  // caller's business (Checker merges at its wave boundaries).
   ExperimentResult run(const ExperimentSpec& spec, const MonitorModel* monitor_model = nullptr,
                        ExperimentContext* context = nullptr,
-                       const CheckpointStore* checkpoints = nullptr) const;
+                       const CheckpointStore* checkpoints = nullptr,
+                       TreeCapture* tree_capture = nullptr) const;
 
   // Same, but with a caller-supplied fault director (the replayer injects
   // relative to observed mode transitions rather than absolute timestamps).
@@ -302,9 +306,9 @@ class SimulationHarness {
   // from the deepest usable snapshot in `store` (tree or root), while
   // recording tree snapshots on the store's cadence + at the plan's later
   // activations; if the run stays safe, merge the captures back into the
-  // store so deeper chains can fork from them. This is the scalar form of
-  // what Checker/BatchHarness do across a campaign — tests use it to grow a
-  // tree without standing up a checker.
+  // store so deeper chains can fork from them. This is the one-run form of
+  // what Checker does across a campaign — tests use it to grow a tree
+  // without standing up a checker.
   ExperimentResult run_recording(const ExperimentSpec& spec, const MonitorModel* monitor_model,
                                  ExperimentContext* context, CheckpointStore& store) const;
 

@@ -55,7 +55,10 @@ struct JournalCellRecord {
 
 class CampaignJournal {
  public:
-  static constexpr int kVersion = 1;
+  // 2: the header no longer carries a lockstep batch width (a
+  // wall-clock-only knob that changed no report byte). A v1 journal fails
+  // the "journal version" bind rather than resuming under a stale header.
+  static constexpr int kVersion = 2;
 
   struct Header {
     int version = kVersion;
@@ -64,7 +67,6 @@ class CampaignJournal {
     bool checkpoint_trees = true;
     sim::SimTimeMs checkpoint_interval_ms = 0;
     std::size_t checkpoint_budget_bytes = 0;
-    int batch_width = 0;  // requested width (0 = auto)
     std::vector<std::string> cell_hashes;  // grid order
   };
 
@@ -78,7 +80,7 @@ class CampaignJournal {
   // everything that changes report bytes; deliberately excludes wall-clock
   // knobs (worker counts, ports) that the masked-diff contract ignores.
   static Header bind(const std::vector<CampaignCellSpec>& grid,
-                     const CheckpointConfig& checkpoints, int batch_width);
+                     const CheckpointConfig& checkpoints);
 
   // Human-readable field-by-field mismatch between a loaded header and the
   // requested campaign; empty string means compatible. `grid` (the

@@ -407,7 +407,7 @@ TEST(BatchParity, CheckpointResumedBatchesMatchScalarRestores) {
 }
 
 // Width 1 is a degenerate batch, not a special case: a single-lane batch
-// must still be report-identical (the --batch-width 1 contract).
+// must still be report-identical.
 TEST(BatchParity, WidthOneRoutesThroughTheBatchEngineIdentically) {
   SimulationHarness harness;
   ExperimentContext context;

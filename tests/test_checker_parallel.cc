@@ -195,22 +195,35 @@ TEST(CheckerParallel, StratifiedBfiParityAtFourWorkers) {
   expect_reports_equal(serial, parallel);
 }
 
-TEST(CheckerParallel, OneWorkerTakesTheSerialPath) {
+// At one worker every plan is simulated inline, only once the apply loop
+// has decided to apply it: a campaign that ends mid-wave steps exactly the
+// milliseconds it charges, minus what checkpoint restores skipped — no
+// discarded plan is ever simulated.
+TEST(CheckerParallel, OneWorkerSimulatesOnlyAppliedExperiments) {
   core::Checker& checker =
       avis::testing::cached_checker(fw::Personality::kArduPilotLike, workload::WorkloadId::kAuto);
+  // Profiling and prefix recording happen on first use; do them before the
+  // hook so it counts campaign steps only.
   const core::MonitorModel& model = checker.model();
+  checker.checkpoint_store();
   const auto suite = core::SimulationHarness::iris_suite();
 
-  core::SabreScheduler serial_strategy(suite, model.golden_transitions());
-  core::BudgetClock serial_budget(kBudgetMs);
-  const core::CheckerReport serial = checker.run(serial_strategy, serial_budget);
+  sim::SimTimeMs stepped_ms = 0;
+  checker.harness().set_step_hook(
+      [&stepped_ms](sim::SimTimeMs, const sim::VehicleState&, const fw::Firmware&) {
+        ++stepped_ms;
+      });
+  for (const sim::SimTimeMs budget_ms : {130000, 275000, 410000, 545000}) {
+    stepped_ms = 0;
+    core::SabreScheduler sabre(suite, model.golden_transitions());
+    core::BudgetClock budget(budget_ms);
+    const core::CheckerReport report = checker.run_parallel(sabre, budget, /*workers=*/1);
 
-  core::SabreScheduler one_worker_strategy(suite, model.golden_transitions());
-  core::BudgetClock one_worker_budget(kBudgetMs);
-  const core::CheckerReport one_worker =
-      checker.run_parallel(one_worker_strategy, one_worker_budget, /*workers=*/1);
-
-  expect_reports_equal(serial, one_worker);
+    SCOPED_TRACE("budget_ms=" + std::to_string(budget_ms));
+    EXPECT_EQ(report.labels, 0);
+    EXPECT_EQ(stepped_ms, report.budget_used_ms - report.checkpoint_skipped_ms);
+  }
+  checker.harness().set_step_hook({});
 }
 
 TEST(CheckerParallel, SabreBatchStopsAtWaveBoundary) {

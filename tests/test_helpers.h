@@ -63,8 +63,7 @@ inline void expect_reports_equal(const core::CheckerReport& serial,
   EXPECT_EQ(serial.checkpoint_skipped_ms, parallel.checkpoint_skipped_ms);
   EXPECT_EQ(serial.stalled_runs, parallel.stalled_runs);
   // Edge coverage is derived from transitions, which are bit-identical
-  // across worker counts and checkpoint modes — so unlike the checkpoint
-  // counters above it has no masking escape hatch.
+  // across worker counts and checkpoint modes.
   ASSERT_EQ(serial.edge_coverage.size(), parallel.edge_coverage.size());
   for (auto a = serial.edge_coverage.begin(), b = parallel.edge_coverage.begin();
        a != serial.edge_coverage.end(); ++a, ++b) {

@@ -101,7 +101,7 @@ TEST(Journal, RoundTripsHeaderAndRecords) {
   const auto grid = small_grid();
   core::CheckpointConfig checkpoints;
   checkpoints.interval_ms = 2500;
-  const auto header = core::CampaignJournal::bind(grid, checkpoints, 4);
+  const auto header = core::CampaignJournal::bind(grid, checkpoints);
 
   const std::string path = temp_path("roundtrip");
   {
@@ -118,7 +118,6 @@ TEST(Journal, RoundTripsHeaderAndRecords) {
   EXPECT_TRUE(loaded.header.checkpoint_trees);
   EXPECT_EQ(loaded.header.checkpoint_interval_ms, 2500);
   EXPECT_EQ(loaded.header.checkpoint_budget_bytes, checkpoints.byte_budget);
-  EXPECT_EQ(loaded.header.batch_width, 4);
   ASSERT_EQ(loaded.header.cell_hashes.size(), grid.size());
   EXPECT_EQ(loaded.header.cell_hashes[0], core::cell_identity_hash(grid[0]));
 
@@ -137,32 +136,62 @@ TEST(Journal, RoundTripsHeaderAndRecords) {
 
 TEST(Journal, HeaderDiffIsEmptyForTheSameCampaign) {
   const auto grid = small_grid();
-  const auto header = core::CampaignJournal::bind(grid, {}, 0);
+  const auto header = core::CampaignJournal::bind(grid, {});
   EXPECT_EQ(core::CampaignJournal::header_diff(
-                header, core::CampaignJournal::bind(small_grid(), {}, 0), grid),
+                header, core::CampaignJournal::bind(small_grid(), {}), grid),
             "");
 }
 
 TEST(Journal, HeaderDiffNamesEveryDriftedField) {
   const auto grid = small_grid();
-  const auto header = core::CampaignJournal::bind(grid, {}, 0);
+  const auto header = core::CampaignJournal::bind(grid, {});
 
   core::CheckpointConfig no_checkpoints;
   no_checkpoints.enabled = false;
-  const auto config_drift = core::CampaignJournal::bind(grid, no_checkpoints, 8);
+  const auto config_drift = core::CampaignJournal::bind(grid, no_checkpoints);
   const std::string config_diff =
       core::CampaignJournal::header_diff(header, config_drift, grid);
   EXPECT_NE(config_diff.find("checkpoints_enabled"), std::string::npos) << config_diff;
-  EXPECT_NE(config_diff.find("batch_width"), std::string::npos) << config_diff;
 
   // A different grid seed keeps the shape but changes every cell hash; the
   // diff names the cells (with their registry coordinates), not just "hash".
   const auto reseeded = small_grid(777);
-  const auto grid_drift = core::CampaignJournal::bind(reseeded, {}, 0);
+  const auto grid_drift = core::CampaignJournal::bind(reseeded, {});
   const std::string grid_diff =
       core::CampaignJournal::header_diff(header, grid_drift, reseeded);
   EXPECT_NE(grid_diff.find("cell 0"), std::string::npos) << grid_diff;
   EXPECT_NE(grid_diff.find("ardupilot"), std::string::npos) << grid_diff;
+}
+
+// A version-1 journal loads, but never binds to a current campaign:
+// header_diff names the version, which is what makes avis_campaign --resume
+// refuse it (exit 2). The v1 header's lockstep-width field is left out here;
+// load() reads only the fields it knows.
+TEST(Journal, VersionOneHeaderIsRefused) {
+  const auto grid = small_grid();
+  const auto requested = core::CampaignJournal::bind(grid, {});
+  std::ostringstream v1;
+  v1 << "{\"type\": \"avis_campaign_journal\", \"version\": 1, \"cells\": " << grid.size()
+     << ", \"checkpoints_enabled\": true, \"checkpoint_trees\": true"
+     << ", \"checkpoint_interval_ms\": " << requested.checkpoint_interval_ms
+     << ", \"checkpoint_budget_bytes\": " << requested.checkpoint_budget_bytes
+     << ", \"cell_hashes\": [";
+  for (std::size_t i = 0; i < requested.cell_hashes.size(); ++i) {
+    v1 << (i ? ", " : "") << "\"" << requested.cell_hashes[i] << "\"";
+  }
+  v1 << "]}\n";
+  const std::string path = temp_path("v1");
+  write_file(path, v1.str());
+
+  const auto loaded = core::CampaignJournal::load(path);
+  EXPECT_EQ(loaded.header.version, 1);
+  EXPECT_NE(core::CampaignJournal::kVersion, 1);
+  const std::string diff = core::CampaignJournal::header_diff(loaded.header, requested, grid);
+  EXPECT_NE(diff.find("journal version"), std::string::npos) << diff;
+  // Everything else in the old header matches: the version alone refuses it.
+  EXPECT_EQ(diff.find("cell "), std::string::npos) << diff;
+  EXPECT_EQ(diff.find("checkpoint"), std::string::npos) << diff;
+  std::filesystem::remove(path);
 }
 
 TEST(Journal, TornFinalRecordIsDroppedNotFatal) {
@@ -170,7 +199,7 @@ TEST(Journal, TornFinalRecordIsDroppedNotFatal) {
   const std::string path = temp_path("torn");
   {
     core::CampaignJournal journal =
-        core::CampaignJournal::start(path, core::CampaignJournal::bind(grid, {}, 0));
+        core::CampaignJournal::start(path, core::CampaignJournal::bind(grid, {}));
     journal.append(record_for(grid, 0, 0));
     journal.append(record_for(grid, 1, 1));
   }
@@ -192,7 +221,7 @@ TEST(Journal, CorruptNonFinalRecordIsFatal) {
   const std::string path = temp_path("corrupt");
   {
     core::CampaignJournal journal =
-        core::CampaignJournal::start(path, core::CampaignJournal::bind(grid, {}, 0));
+        core::CampaignJournal::start(path, core::CampaignJournal::bind(grid, {}));
     journal.append(record_for(grid, 0, 0));
     journal.append(record_for(grid, 1, 1));
   }
@@ -216,7 +245,7 @@ TEST(Journal, RecordDisagreeingWithHeaderIsCorruption) {
   const std::string path = temp_path("hash_mismatch");
   {
     core::CampaignJournal journal =
-        core::CampaignJournal::start(path, core::CampaignJournal::bind(grid, {}, 0));
+        core::CampaignJournal::start(path, core::CampaignJournal::bind(grid, {}));
     // Wrong hash for index 0: the record claims a cell this campaign never
     // had. Followed by a valid record so the lie is not on the final line.
     core::JournalCellRecord lie = record_for(grid, 0, 0);
@@ -233,7 +262,7 @@ TEST(Journal, DuplicateIndexKeepsFirstRecord) {
   const std::string path = temp_path("duplicate");
   {
     core::CampaignJournal journal =
-        core::CampaignJournal::start(path, core::CampaignJournal::bind(grid, {}, 0));
+        core::CampaignJournal::start(path, core::CampaignJournal::bind(grid, {}));
     journal.append(record_for(grid, 0, 0));
     // A crash between fsync and "cell done" can journal the same completion
     // twice after resume; determinism makes the copies equal, so keeping the

@@ -19,8 +19,10 @@ import json
 import sys
 
 # Single-worker benches worth gating; names must match google-benchmark's
-# JSON "name" field exactly. BM_SingleExperiment is gated at batch width 4 —
-# the width the checker runs at by default (Checker::kAutoBatchWidth).
+# JSON "name" field exactly. BM_CheckerCampaign/1 gates the checker loop
+# every campaign runs. BM_SingleExperiment/4 gates the reference lockstep
+# batch engine (core::BatchHarness), which no campaign path uses any more,
+# for as long as that layer stays in the tree.
 GATED = [
     "BM_SingleExperiment/4",
     "BM_CheckerCampaign/1/process_time/real_time",
