@@ -93,6 +93,10 @@ static void BM_CheckerCampaign(benchmark::State& state) {
   const int workers = static_cast<int>(state.range(0));
   core::Checker& checker = shared_checker();
   const core::MonitorModel& model = checker.model();
+  // Record the checkpoint prefix before timing: otherwise the first timed
+  // iteration pays for it, and at --benchmark_min_time=0.01 the single
+  // iteration of the /1 row would time setup instead of the campaign.
+  checker.checkpoint_store();
   const auto suite = core::SimulationHarness::iris_suite();
 
   std::int64_t experiments = 0;

@@ -105,6 +105,14 @@ struct ExperimentResult {
   // injections already activated. Wall-clock provenance like
   // resumed_from_ms; feeds the per-level hit counters in CheckerReport.
   int resumed_depth = 0;
+  // Absorbing-tail provenance: the sim time from which the harness proved
+  // the rest of the run absorbing (landed, disarmed, waiting out a workload
+  // timeout or the grace period) and wrote the remaining samples directly
+  // instead of stepping them; -1 = every millisecond was simulated.
+  // Wall-clock telemetry like resumed_from_ms: the observable fields above
+  // and duration_ms are bit-identical either way, and it is never part of
+  // an outcome digest.
+  sim::SimTimeMs fast_forwarded_from_ms = -1;
 
   bool unsafe() const { return violation.has_value(); }
 };

@@ -6,6 +6,20 @@
 
 namespace avis::core {
 
+namespace {
+// Transitions recorded strictly after `first_injection` (counted from the
+// end of the trace): what a tree capture's horizon rule compares against.
+int post_injection_transitions(const RecordingDirector& director,
+                               sim::SimTimeMs first_injection) {
+  int count = 0;
+  for (auto it = director.transitions().rbegin(); it != director.transitions().rend(); ++it) {
+    if (it->time_ms <= first_injection) break;
+    ++count;
+  }
+  return count;
+}
+}  // namespace
+
 ExperimentResult SimulationHarness::run(const ExperimentSpec& spec,
                                         const MonitorModel* monitor_model,
                                         ExperimentContext* context,
@@ -285,6 +299,7 @@ void SimulationHarness::p_loop(const ExperimentSpec& spec, ExperimentWorld& worl
     return snap;
   };
 
+  const sim::SimTimeMs faults_final_from = director.answers_final_from();
   for (sim::SimTimeMs now = rs.start_ms; now < spec.max_duration_ms; ++now) {
     // Checkpoint capture, at the top of the iteration so a restored run
     // re-enters the loop at exactly this point.
@@ -303,17 +318,21 @@ void SimulationHarness::p_loop(const ExperimentSpec& spec, ExperimentWorld& worl
     if (tree_capture != nullptr && !tree_capture->done &&
         tree_idx < tree_capture->times.size() && now == tree_capture->times[tree_idx]) {
       ++tree_idx;
-      int post_injection = 0;
-      for (auto it = director.transitions().rbegin(); it != director.transitions().rend();
-           ++it) {
-        if (it->time_ms <= tree_capture->first_injection) break;
-        ++post_injection;
-      }
-      if (post_injection >= tree_capture->transition_horizon) {
+      if (post_injection_transitions(director, tree_capture->first_injection) >=
+          tree_capture->transition_horizon) {
         tree_capture->done = true;
       } else {
         tree_capture->snapshots.push_back(assemble_snapshot(now));
       }
+    }
+
+    // Absorbing tail: a landed, disarmed vehicle waiting out a workload
+    // timeout or the grace period is written out instead of stepped, once
+    // the reads at the director's last activation have latched. Prefix
+    // recordings and hooked runs always step every millisecond.
+    if (now == rs.next_workload_ms && now > faults_final_from && capture_into == nullptr &&
+        !step_hook_ && p_fast_forward(spec, world, director, rs, now, tree_capture, tree_idx)) {
+      break;
     }
 
     // Step 1: the workload runs until it yields back to the harness.
@@ -383,6 +402,107 @@ void SimulationHarness::p_loop(const ExperimentSpec& spec, ExperimentWorld& worl
       result.workload_passed = false;
     }
   }
+}
+
+bool SimulationHarness::p_fast_forward(const ExperimentSpec& spec, ExperimentWorld& world,
+                                       const RecordingDirector& director, RunState& rs,
+                                       sim::SimTimeMs now, TreeCapture* tree_capture,
+                                       std::size_t tree_idx) const {
+  // Cheapest first: a flying vehicle fails at armed().
+  const fw::Firmware& firmware = *world.firmware;
+  if (firmware.armed() || rs.firmware_dead || firmware.mode() != fw::Mode::kPreFlight) {
+    return false;
+  }
+  // Disarmed in PreFlight, the firmware commands zero motors and changes
+  // nothing observable — no mode change, no bug hook, no failsafe — unless
+  // a GCS frame reaches it.
+  if (!world.channel.to_vehicle.empty()) return false;
+  const sim::Simulator& simulator = *world.simulator;
+  if (!simulator.dynamics().grounded_for_good(simulator.state(), simulator.environment(),
+                                              sim::kStepSeconds)) {
+    return false;
+  }
+
+  // The workload either is done (the run ends kGraceMs after done_at) or is
+  // blocked on a declared wait the vehicle can never satisfy, and then
+  // fails at the first workload tick past its step's timeout.
+  sim::SimTimeMs done_at = rs.workload_done_at;
+  const workload::Script::Wait* wait = nullptr;
+  if (done_at < 0) {
+    const workload::Script::Step* step = rs.workload->blocked_step();
+    if (step == nullptr || step->wait.kind == workload::Script::Wait::Kind::kOpaque) return false;
+    wait = &step->wait;
+    const sim::SimTimeMs fails_from = rs.workload->entered_at() + step->timeout_ms + 1;
+    const sim::SimTimeMs ticks =
+        std::max<sim::SimTimeMs>(0, (fails_from - now + kWorkloadPeriodMs - 1) / kWorkloadPeriodMs);
+    done_at = now + ticks * kWorkloadPeriodMs;
+  }
+  const sim::SimTimeMs last_iter = std::min(done_at + kGraceMs, spec.max_duration_ms - 1);
+
+  // Nothing the GCS holds or has still to read may complete the wait, and
+  // nothing may make it send: a mission request is the one vehicle message
+  // the GCS answers.
+  const bool wants_armed = wait != nullptr && wait->kind == workload::Script::Wait::Kind::kArmed;
+  const bool wants_altitude =
+      wait != nullptr && wait->kind == workload::Script::Wait::Kind::kAltitudeAtLeast;
+  if ((wants_armed && rs.gcs->armed()) ||
+      (wants_altitude && rs.gcs->altitude() >= wait->altitude_m)) {
+    return false;
+  }
+  for (const auto& frame : world.channel.to_gcs) {
+    const std::optional<mavlink::Message> msg = mavlink::unpack(frame);
+    if (!msg) continue;  // dropped by the GCS as well
+    if (std::holds_alternative<mavlink::MissionRequest>(*msg)) return false;
+    if (const auto* hb = std::get_if<mavlink::Heartbeat>(&*msg); hb && wants_armed && hb->armed) {
+      return false;
+    }
+    if (const auto* gp = std::get_if<mavlink::GlobalPositionInt>(&*msg);
+        gp && wants_altitude && gp->relative_alt_m >= wait->altitude_m) {
+      return false;
+    }
+  }
+  // Every later heartbeat reports disarmed; every later altitude report is
+  // at most the estimator's proven ground ceiling.
+  if (wants_altitude) {
+    const std::optional<double> ceiling = firmware.estimator().ground_altitude_ceiling();
+    if (!ceiling || !(*ceiling < wait->altitude_m)) return false;
+  }
+
+  // An open tree capture would snapshot the tail. Past its transition
+  // horizon it captures nothing more (the tail adds no transitions), and
+  // the loop would only have marked it done at its next capture time.
+  const bool capture_pending = tree_capture != nullptr && !tree_capture->done &&
+                               tree_idx < tree_capture->times.size() &&
+                               tree_capture->times[tree_idx] <= last_iter;
+  if (capture_pending && post_injection_transitions(director, tree_capture->first_injection) <
+                             tree_capture->transition_horizon) {
+    return false;
+  }
+
+  // Proven absorbing: write what the remaining iterations would have. The
+  // monitor sees only PreFlight, disarmed, on-ground samples from here on —
+  // a safe state with no crash and a live firmware — so it reports nothing.
+  if (capture_pending) tree_capture->done = true;
+  const sim::VehicleState& truth = simulator.state();
+  StateSample sample;
+  sample.position = truth.position;
+  sample.acceleration = truth.acceleration;
+  sample.mode_id = firmware.composite_mode().id();
+  sample.on_ground = truth.on_ground;
+  sample.armed = false;
+  for (; rs.next_sample_ms <= last_iter; rs.next_sample_ms += kSamplePeriodMs) {
+    sample.time_ms = rs.next_sample_ms;
+    rs.result.trace.push_back(sample);
+  }
+  if (done_at < spec.max_duration_ms) {
+    if (rs.workload_done_at < 0) {
+      rs.workload_done_at = done_at;
+      rs.result.workload_passed = false;
+    }
+    if (done_at + kGraceMs < spec.max_duration_ms) rs.result.duration_ms = done_at + kGraceMs + 1;
+  }
+  rs.result.fast_forwarded_from_ms = now;
+  return true;
 }
 
 ExperimentResult SimulationHarness::p_finalize(const ExperimentSpec& spec,

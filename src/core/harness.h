@@ -49,6 +49,7 @@ class ScheduledDirector final : public hinj::FaultDirector {
                     "fault plan names a sensor instance beyond the suite limit");
       auto& slot = activation_[static_cast<std::size_t>(event.sensor.type)][event.sensor.instance];
       slot = std::min(slot, static_cast<std::int64_t>(event.time_ms));
+      final_from_ = std::max(final_from_, static_cast<std::int64_t>(event.time_ms));
     }
   }
 
@@ -62,12 +63,16 @@ class ScheduledDirector final : public hinj::FaultDirector {
     return activation_[static_cast<std::size_t>(sensor.type)][sensor.instance];
   }
 
+  // The last activation: every answer is final from there on.
+  std::int64_t answers_final_from() const override { return final_from_; }
+
   void on_mode_update(std::uint16_t, std::string_view, std::int64_t) override {}
 
  private:
   static constexpr std::uint8_t kMaxInstances = 8;
   std::array<std::array<std::int64_t, kMaxInstances>, sensors::kAllSensorTypes.size()>
       activation_;
+  std::int64_t final_from_ = 0;
 };
 
 // Wraps any director and records the mode trace and heartbeats the firmware
@@ -90,6 +95,8 @@ class RecordingDirector final : public hinj::FaultDirector {
   std::int64_t pass_until(const sensors::SensorId& sensor, std::int64_t time_ms) override {
     return inner_->pass_until(sensor, time_ms);
   }
+
+  std::int64_t answers_final_from() const override { return inner_->answers_final_from(); }
 
   void on_mode_update(std::uint16_t mode_id, std::string_view mode_name,
                       std::int64_t time_ms) override {
@@ -286,7 +293,8 @@ class SimulationHarness {
   // Same, but with a caller-supplied fault director (the replayer injects
   // relative to observed mode transitions rather than absolute timestamps).
   // Custom directors carry no declared first-injection time, so this path
-  // never restores checkpoints.
+  // never restores checkpoints; it fast-forwards an absorbing tail only if
+  // the director overrides answers_final_from (the replayer does not).
   ExperimentResult run_with_director(const ExperimentSpec& spec,
                                      hinj::FaultDirector& director,
                                      const MonitorModel* monitor_model,
@@ -325,6 +333,9 @@ class SimulationHarness {
                        std::uint64_t seed_base = 1, ExperimentContext* context = nullptr) const;
 
   // Per-run step hook for benches that need full-rate traces (Fig. 9/10).
+  // A hook observes every millisecond, so while one is set no absorbing
+  // tail is fast-forwarded; a no-op hook is how tests run the fully stepped
+  // loop to compare against.
   using StepHook = std::function<void(sim::SimTimeMs, const sim::VehicleState&,
                                       const fw::Firmware&)>;
   void set_step_hook(StepHook hook) { step_hook_ = std::move(hook); }
@@ -359,6 +370,18 @@ class SimulationHarness {
               TreeCapture* tree_capture = nullptr) const;
   ExperimentResult p_finalize(const ExperimentSpec& spec, ExperimentWorld& world,
                               RecordingDirector& director, RunState& rs) const;
+
+  // Absorbing-tail fast-forward, tried by p_loop at the top of each workload
+  // tick `now` (after that iteration's captures). If it proves that every
+  // remaining iteration would leave the vehicle landed, disarmed and
+  // unchanged and the workload blocked until its timeout (or already done),
+  // it writes what those iterations would have written — the trace samples,
+  // the workload's failure, duration_ms — and returns true; p_loop then
+  // stops. Declines (returns false, touching nothing) whenever any
+  // obligation is unproven (docs/PERFORMANCE.md, "Absorbing tails").
+  bool p_fast_forward(const ExperimentSpec& spec, ExperimentWorld& world,
+                      const RecordingDirector& director, RunState& rs, sim::SimTimeMs now,
+                      TreeCapture* tree_capture, std::size_t tree_idx) const;
 
   StepHook step_hook_;
 };

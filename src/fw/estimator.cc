@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "fw/estimator_gains.h"
+#include "util/rng.h"
 
 namespace avis::fw {
 
@@ -12,6 +13,81 @@ namespace {
 // Correction gains (1/s) shared with the batched lanes; see
 // fw/estimator_gains.h for the tuning rationale.
 using namespace estimator_gains;
+
+// The vertical channel of update() with a live barometer, in altitude terms
+// (h = -position.z, c = -velocity.z), for one step with inputs u (upward
+// acceleration from the accelerometer), b (barometer altitude) and g (GPS
+// climb rate):
+//   c += dt u;  h += dt c;  e = b - h;  h += kBaroPos dt e;  c += kBaroVel dt e
+//   c += kGpsVelZ dt (g - c)            (only while a GPS is alive)
+struct Vertical {
+  double h = 0.0;
+  double c = 0.0;
+
+  void step(double u, double b, double g, bool gps) {
+    c += kDt * u;
+    h += kDt * c;
+    const double e = b - h;
+    h += kBaroPosGain * kDt * e;
+    c += kBaroVelGain * kDt * e;
+    if (gps) c += kGpsVelZGain * kDt * (g - c);
+  }
+};
+
+// The loop's altitude responses, summed over every later step: the extremes
+// of the free response from a unit altitude and a unit climb rate, and the
+// positive and negative parts of each input's impulse response. The loop is
+// stable (poles inside the unit circle, slowest time constant ~1.4 s), so
+// the sums are cut once every response has decayed below 1e-30 of its
+// start; the dropped tail is far inside the ceiling's rounding margin.
+struct VerticalEnvelope {
+  double h_max = 1.0, h_min = 1.0;  // free response to h0 = 1
+  double c_max = 0.0, c_min = 0.0;  // free response to c0 = 1
+  double u_pos = 0.0, u_neg = 0.0;
+  double b_pos = 0.0, b_neg = 0.0;
+  double g_pos = 0.0, g_neg = 0.0;
+
+  explicit VerticalEnvelope(bool gps) {
+    Vertical from_h{1.0, 0.0}, from_c{0.0, 1.0}, from_u, from_b, from_g;
+    from_u.step(1.0, 0.0, 0.0, gps);
+    from_b.step(0.0, 1.0, 0.0, gps);
+    from_g.step(0.0, 0.0, 1.0, gps);
+    const auto add = [](double v, double& pos, double& neg) {
+      if (v > 0.0) pos += v; else neg -= v;
+    };
+    for (int n = 0; n < 2'000'000; ++n) {
+      from_h.step(0.0, 0.0, 0.0, gps);
+      from_c.step(0.0, 0.0, 0.0, gps);
+      h_max = std::max(h_max, from_h.h);
+      h_min = std::min(h_min, from_h.h);
+      c_max = std::max(c_max, from_c.h);
+      c_min = std::min(c_min, from_c.h);
+      add(from_u.h, u_pos, u_neg);
+      add(from_b.h, b_pos, b_neg);
+      add(from_g.h, g_pos, g_neg);
+      double residue = 0.0;
+      for (const Vertical* v : {&from_h, &from_c, &from_u, &from_b, &from_g}) {
+        residue = std::max({residue, std::abs(v->h), std::abs(v->c)});
+      }
+      if (residue < 1e-30) break;
+      from_u.step(0.0, 0.0, 0.0, gps);
+      from_b.step(0.0, 0.0, 0.0, gps);
+      from_g.step(0.0, 0.0, 0.0, gps);
+    }
+  }
+};
+
+// Upper bound of sum_m r_m x_m over any x_m in [lo, hi], given the positive
+// and negative parts of r: every term is at most pos-part * max(hi, 0) plus
+// neg-part * max(-lo, 0), however the partial sums interleave.
+double response_bound(double pos, double neg, double lo, double hi) {
+  return pos * std::max(hi, 0.0) + neg * std::max(-lo, 0.0);
+}
+
+// Absolute rounding allowance on the ceiling. Each update rounds h and c by
+// a few ulps of values below ~20 (~1e-14); through the loop's response sums
+// (~1e3) that accumulates to ~1e-11 m, five orders of magnitude below this.
+constexpr double kCeilingMarginM = 1e-6;
 }  // namespace
 
 StateEstimator::StateEstimator(const FirmwareConfig& config, SensorBus& bus)
@@ -308,6 +384,65 @@ void StateEstimator::update(sim::SimTimeMs now, const sim::VehicleState& truth,
          std::isfinite(published_.velocity.y) && std::isfinite(published_.velocity.z) &&
          std::isfinite(published_.attitude.roll) && std::isfinite(published_.attitude.pitch) &&
          std::isfinite(published_.attitude.yaw));
+}
+
+std::optional<double> StateEstimator::ground_altitude_ceiling() const {
+  // The published altitude is -(z - altitude_bias); a frozen channel holds
+  // its z for good.
+  if (quirks_.freeze_altitude) {
+    if (!frozen_alt_valid_) return std::nullopt;
+    return -(frozen_alt_z_ - quirks_.altitude_bias);
+  }
+  if (quirks_.gps_altitude_only) return std::nullopt;
+  if (!health(sensors::SensorType::kBarometer).any_alive()) return std::nullopt;
+
+  const bool gps = health(sensors::SensorType::kGps).any_alive();
+  static const VerticalEnvelope with_gps(true);
+  static const VerticalEnvelope without_gps(false);
+  const VerticalEnvelope& env = gps ? with_gps : without_gps;
+
+  // Input ranges on the ground. The accelerometer reads R^T (0, 0, -g) plus
+  // a per-axis bias and noise, so |f| <= g + sqrt(3) (bias + 12.01 sigma),
+  // and u = -(R_est f)_z - g lies in [-|f| - g, |f| - g] whatever attitude
+  // the estimate holds. The barometer reads 0 + noise; the GPS climb rate
+  // is 0 + noise.
+  const double sigma = util::Rng::kMaxAbsGaussian;
+  double u_lo = 0.0, u_hi = 0.0;
+  if (health(sensors::SensorType::kAccelerometer).any_alive()) {
+    const double f_max = kGravity + std::sqrt(3.0) * (sensors::Accelerometer::kDefaultBias +
+                                                      sigma * sensors::Accelerometer::kDefaultNoise);
+    u_hi = f_max - kGravity;
+    u_lo = -f_max - kGravity;
+  }
+  const double b_hi = sigma * sensors::Barometer::kDefaultNoise;
+  const double g_hi = gps ? sigma * sensors::Gps::kVelocityVNoise : 0.0;
+  // A held sample is re-read until the next native sample (up to 20 ms for
+  // the barometer, 200 ms for the GPS) and may predate the landing, so the
+  // ones live instances hold now must already lie inside those ranges.
+  const sensors::SensorSuite& suite = bus_->suite();
+  for (int i = 0; i < suite.config().barometers; ++i) {
+    const sensors::BaroSample* held = suite.baro(i).held();
+    if (!suite.baro(i).failed() && held != nullptr && !(std::abs(held->pressure_altitude_m) <= b_hi)) {
+      return std::nullopt;
+    }
+  }
+  for (int i = 0; i < suite.config().gpses; ++i) {
+    const sensors::GpsSample* held = suite.gps(i).held();
+    if (!suite.gps(i).failed() && held != nullptr && !(std::abs(held->velocity_ned.z) <= g_hi)) {
+      return std::nullopt;
+    }
+  }
+
+  const double h0 = -state_.position.z;
+  const double c0 = -state_.velocity.z;
+  const double free_response =
+      std::max(h0 * env.h_max, h0 * env.h_min) + std::max(c0 * env.c_max, c0 * env.c_min);
+  const double forced = response_bound(env.u_pos, env.u_neg, u_lo, u_hi) +
+                        response_bound(env.b_pos, env.b_neg, -b_hi, b_hi) +
+                        response_bound(env.g_pos, env.g_neg, -g_hi, g_hi);
+  const double ceiling = free_response + forced + quirks_.altitude_bias + kCeilingMarginM;
+  if (!std::isfinite(ceiling)) return std::nullopt;
+  return ceiling;
 }
 
 void StateEstimator::reset_state_estimate() {

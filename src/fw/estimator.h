@@ -16,6 +16,7 @@
 #pragma once
 
 #include <array>
+#include <optional>
 
 #include "fw/config.h"
 #include "fw/sensor_bus.h"
@@ -98,6 +99,21 @@ class StateEstimator {
   // APM-9349: accelerometer clipping during a hard turn corrupts the fused
   // velocity; models the one-time estimate jump the bug report describes.
   void corrupt_velocity(const geo::Vec3& delta) { state_.velocity += delta; }
+
+  // A proven upper bound on every altitude state() publishes from the next
+  // update() on, for as long as the truth rests on flat ground (altitude,
+  // velocity and acceleration exactly 0), the live sensors stay the ones
+  // health() reports and the quirks stay as they are. With the barometer
+  // alive the vertical channel is a linear time-invariant loop whose inputs
+  // (accelerometer specific force, barometer and GPS vertical-velocity
+  // noise) are bounded via util::Rng::kMaxAbsGaussian at the suite's
+  // default noise levels; the ceiling is the loop's free response from the
+  // current state plus those bounds through its impulse-response sums, plus
+  // the altitude bias and a rounding margin (docs/PERFORMANCE.md, "Absorbing
+  // tails"). A frozen altitude is its own constant ceiling. nullopt when no
+  // bound can be proven: with the barometer dead the channel follows GPS
+  // altitude (2.8 m 1-sigma), and gps_altitude_only publishes raw GPS.
+  std::optional<double> ground_altitude_ceiling() const;
 
   // True once the horizontal position solution is degraded to dead
   // reckoning (GPS family dead and no stale-velocity quirk hiding it).

@@ -59,6 +59,7 @@ class Firmware {
   bool armed() const { return armed_; }
   const EstimatedState& estimate() const { return estimator_.state(); }
   StateEstimator& estimator() { return estimator_; }
+  const StateEstimator& estimator() const { return estimator_; }
   // The batch engine keeps the cascade's PID state in its own lanes and
   // syncs it around step_control_phase (p_set_mode may reset the cascade);
   // divergence loads the lane state back through this accessor.

@@ -60,6 +60,7 @@ class SensorBus {
   }
 
   const sensors::SuiteConfig& config() const { return suite_->config(); }
+  const sensors::SensorSuite& suite() const { return *suite_; }
 
  private:
   template <typename SensorT, typename Sample>

@@ -69,6 +69,15 @@ class FaultDirector {
     return time_ms;
   }
 
+  // A time F from which every answer is final: should_fail(sensor, t)
+  // returns the same for each sensor at every t >= F, so once reads at F
+  // have latched their failures, no later read changes which instances are
+  // alive. The harness fast-forwards an absorbing tail only past F. The
+  // default, never, suits a director whose answers nothing bounds.
+  virtual std::int64_t answers_final_from() const {
+    return std::numeric_limits<std::int64_t>::max();
+  }
+
   virtual void on_mode_update(std::uint16_t mode_id, std::string_view mode_name,
                               std::int64_t time_ms) = 0;
 

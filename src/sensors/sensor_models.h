@@ -51,6 +51,9 @@ class SensorInstance {
 
   const SensorId& id() const { return id_; }
   bool failed() const { return failed_; }
+  // The sample reads return until the next native sample period; nullptr
+  // before the first read.
+  const Sample* held() const { return has_sample_ ? &held_ : nullptr; }
 
   // Clean failure: the device stops communicating for the rest of the run.
   void fail() { failed_ = true; }
@@ -206,6 +209,9 @@ class Gps final : public SensorInstance<GpsSample> {
   // coarseness is the paper's Fig. 1 root hazard.
   static constexpr double kDefaultHNoise = 0.9;
   static constexpr double kDefaultVNoise = 2.8;
+  // Velocity noise (m/s, 1-sigma), fixed for every instance.
+  static constexpr double kVelocityHNoise = 0.1;
+  static constexpr double kVelocityVNoise = 0.2;
 
   Gps(SensorId id, util::Rng rng, double h_noise = kDefaultHNoise,
       double v_noise = kDefaultVNoise)
@@ -218,8 +224,9 @@ class Gps final : public SensorInstance<GpsSample> {
                                                              -rng.gaussian(v_noise)};
     GpsSample s;
     s.position = env.frame().to_geodetic(noisy_local);
-    s.velocity_ned = truth.velocity + geo::Vec3{rng.gaussian(0.1), rng.gaussian(0.1),
-                                                rng.gaussian(0.2)};
+    s.velocity_ned = truth.velocity + geo::Vec3{rng.gaussian(kVelocityHNoise),
+                                                rng.gaussian(kVelocityHNoise),
+                                                rng.gaussian(kVelocityVNoise)};
     s.num_satellites = 14;
     s.hdop = 0.8;
     s.has_fix = true;
@@ -403,6 +410,8 @@ class SensorSuite {
   Gps& gps(int i) { return *gpses_.at(i); }
   Compass& compass(int i) { return *compasses_.at(i); }
   BatterySensor& battery(int i) { return *batteries_.at(i); }
+  const Barometer& baro(int i) const { return *baros_.at(i); }
+  const Gps& gps(int i) const { return *gpses_.at(i); }
 
   // Latch a clean failure on one instance. Returns false if the id does not
   // exist on this vehicle.

@@ -139,6 +139,55 @@ CrashCause QuadcopterDynamics::step(VehicleState& state, const MotorCommands& co
   return CrashCause::kNone;
 }
 
+bool QuadcopterDynamics::grounded_for_good(const VehicleState& state, const Environment& env,
+                                           double dt) const {
+  const auto is_pos_zero = [](double v) { return v == 0.0 && !std::signbit(v); };
+  const auto is_pos_zero_vec = [&](const geo::Vec3& v) {
+    return is_pos_zero(v.x) && is_pos_zero(v.y) && is_pos_zero(v.z);
+  };
+  if (state.crashed || !state.on_ground || env.wind().gust_stddev > 0.0) return false;
+  // The ground-support branch's fingerprint; any other step leaves a
+  // nonzero acceleration or a position off the ground plane.
+  if (!is_pos_zero(state.position.z) || Environment::ground_z() != 0.0 ||
+      !is_pos_zero_vec(state.velocity) || !is_pos_zero_vec(state.acceleration)) {
+    return false;
+  }
+
+  // Lift-off: with zero velocity the drag is the mean wind's alone, and the
+  // thrust's vertical component never exceeds the (shrinking) thrust.
+  const double thrust = state.motors.total() * params_.max_motor_thrust_n;
+  const double drag_z = (0.0 - env.wind().mean.z) * (-params_.linear_drag);
+  const double support = params_.mass_kg * params_.gravity + drag_z;
+  if (!(thrust >= 0.0 && thrust < 0.5 * support)) return false;
+
+  // Tip-over: under a zero command each motor decays by (1 - alpha) per
+  // step, so the thrust still to come sums to at most thrust / alpha (1%
+  // headroom for rounding). An axis rate obeys
+  //   w' = (1 - d) w + dt * torque / I,   d = dt * angular_drag / I,
+  // so the sum of |w| over all later steps is at most
+  //   (|w| + dt * torque_coeff * thrust_sum / I) / d.
+  // Euler kinematics move roll by dt * (|wx| + |tan pitch| (|wy| + |wz|))
+  // and pitch by dt * (|wy| + |wz|) per step; tilt, the norm of the two,
+  // moves by at most their sum, and |tan pitch| <= tan(max tilt) for as
+  // long as the tilt stays below it (which is what the bound keeps).
+  const double max_tilt = params_.max_contact_tilt_rad;
+  if (!(max_tilt > 0.0 && max_tilt < 1.5)) return false;
+  const double alpha = dt / (params_.motor_time_constant_s + dt);
+  const double thrust_sum = 1.01 * thrust / alpha;
+  const double arm = params_.arm_length_m * 0.70710678;
+  const auto rate_sum = [&](double rate, double torque_coeff, double inertia) {
+    const double d = dt * params_.angular_drag / inertia;
+    if (!(d > 0.0 && d < 1.0)) return std::numeric_limits<double>::infinity();
+    return (std::abs(rate) + dt * torque_coeff * thrust_sum / inertia) / d;
+  };
+  const double sx = rate_sum(state.body_rates.x, arm, params_.inertia_roll);
+  const double sy = rate_sum(state.body_rates.y, arm, params_.inertia_pitch);
+  const double sz = rate_sum(state.body_rates.z, params_.yaw_torque_coeff, params_.inertia_yaw);
+  const double rotation = dt * (sx + (1.0 + std::tan(max_tilt)) * (sy + sz));
+  if (!std::isfinite(rotation)) return false;
+  return state.attitude.tilt() + 1.01 * rotation + 1e-9 < max_tilt;
+}
+
 double QuadcopterDynamics::power_w(double thrust_n) const {
   // Power scales with thrust^1.5 (momentum theory), normalized to hover.
   const double hover_thrust = params_.mass_kg * params_.gravity;

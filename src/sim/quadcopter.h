@@ -57,6 +57,19 @@ class QuadcopterDynamics {
   CrashCause step(VehicleState& state, const MotorCommands& commanded,
                   const Environment& env, double dt, util::Rng& rng) const;
 
+  // True when `state` is absorbing under a zero motor command: every later
+  // step(dt) with all-zero commands takes the ground-support branch again and
+  // leaves position, velocity, acceleration and the on_ground/crashed flags
+  // bit-identical. Holds when the last step took that branch (velocity and
+  // acceleration exactly +0, on the flat ground), the vehicle has not
+  // crashed, and the wind has no gusts (a gust is an RNG draw and a
+  // changing drag). The decaying motors (thrust shrinks by 1 - alpha per
+  // step) must be under half the support force, so they can never lift the
+  // vehicle off whatever its attitude; and a closed-form bound on the
+  // rotation the residual torques can still produce keeps the tilt below
+  // max_contact_tilt_rad, so the vehicle never tips over.
+  bool grounded_for_good(const VehicleState& state, const Environment& env, double dt) const;
+
   // Electrical power drawn at total thrust `thrust_n`: the rotors'
   // hover_power_w * (thrust / hover thrust)^1.5 plus a constant avionics load.
   double power_w(double thrust_n) const;

@@ -55,6 +55,14 @@ class Rng {
     return static_cast<std::uint64_t>(m >> 64);
   }
 
+  // Hard bound on |next_gaussian()|. u and v are multiples of 2^-52 (53-bit
+  // uniforms mapped onto [-1, 1)), so a nonzero s = u^2 + v^2 is at least
+  // 2^-104, and the returned |u| * sqrt(-2 ln s / s) <= sqrt(-2 ln s) is
+  // largest there: sqrt(208 ln 2) = 12.0071. The headroom covers rounding.
+  // Proofs over the noise a run can ever draw (the absorbing-tail altitude
+  // ceiling, fw/estimator.h) build on this.
+  static constexpr double kMaxAbsGaussian = 12.01;
+
   // Standard normal via Marsaglia polar method.
   double next_gaussian() noexcept {
     if (has_spare_) {

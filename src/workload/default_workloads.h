@@ -46,8 +46,8 @@ class BoxManualWorkload final : public Workload {
   BoxManualWorkload() : Workload("box-manual") {
     script_.wait_time(3000);
     script_.arm_system_completely();
-    script_.add("takeoff", [](GcsContext& ctx) { ctx.takeoff(kCruiseAltitude); },
-                [](GcsContext& ctx) { return ctx.altitude() >= kCruiseAltitude - 0.6; });
+    script_.add_altitude_wait("takeoff", [](GcsContext& ctx) { ctx.takeoff(kCruiseAltitude); },
+                              kCruiseAltitude - 0.6);
     script_.enter_mode(fw::Mode::kPositionHold);
     p_leg("north", /*pitch=*/0.85, /*roll=*/0.0,
           [](GcsContext& ctx) { return ctx.local_position().x >= 20.0; });

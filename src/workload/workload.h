@@ -23,6 +23,17 @@ enum class WorkloadStatus { kRunning, kPassed, kFailed };
 
 class Script {
  public:
+  // What a step is blocked on, declared for the harness's absorbing-tail
+  // check (core/harness.cc): kArmed means the step's completion predicate is
+  // exactly ctx.armed(), kAltitudeAtLeast that it is exactly
+  // ctx.altitude() >= altitude_m, and in both cases the step sends nothing
+  // once entered. Everything else is kOpaque and never fast-forwarded.
+  struct Wait {
+    enum class Kind { kOpaque, kArmed, kAltitudeAtLeast };
+    Kind kind = Kind::kOpaque;
+    double altitude_m = 0.0;
+  };
+
   struct Step {
     std::string name;
     std::function<void(GcsContext&)> on_entry;
@@ -35,11 +46,12 @@ class Script {
     // restore a mid-flight workload into a factory-fresh instance.
     std::function<bool(GcsContext&, sim::SimTimeMs)> done_since;
     sim::SimTimeMs timeout_ms = 60000;
+    Wait wait;
   };
 
   void add(std::string name, std::function<void(GcsContext&)> on_entry,
            std::function<bool(GcsContext&)> done, sim::SimTimeMs timeout_ms = 60000) {
-    steps_.push_back({std::move(name), std::move(on_entry), std::move(done), {}, timeout_ms});
+    p_add(std::move(name), std::move(on_entry), std::move(done), timeout_ms, {});
   }
 
   // A step whose completion depends on time since entry; `done_since` gets
@@ -48,7 +60,7 @@ class Script {
                  std::function<bool(GcsContext&, sim::SimTimeMs)> done_since,
                  sim::SimTimeMs timeout_ms = 60000) {
     steps_.push_back({std::move(name), std::move(on_entry), {}, std::move(done_since),
-                      timeout_ms});
+                      timeout_ms, {}});
   }
 
   // Fig. 8 style helpers ----------------------------------------------------
@@ -64,8 +76,17 @@ class Script {
   }
 
   void arm_system_completely() {
-    add("arm", [](GcsContext& ctx) { ctx.arm(); },
-        [](GcsContext& ctx) { return ctx.armed(); }, 5000);
+    p_add("arm", [](GcsContext& ctx) { ctx.arm(); },
+          [](GcsContext& ctx) { return ctx.armed(); }, 5000, {Wait::Kind::kArmed});
+  }
+
+  // A step that runs `on_entry` once, then waits for the reported altitude
+  // to reach `alt_m` (declared as a kAltitudeAtLeast wait).
+  void add_altitude_wait(std::string name, std::function<void(GcsContext&)> on_entry,
+                         double alt_m, sim::SimTimeMs timeout_ms = 60000) {
+    p_add(std::move(name), std::move(on_entry),
+          [alt_m](GcsContext& ctx) { return ctx.altitude() >= alt_m; }, timeout_ms,
+          {Wait::Kind::kAltitudeAtLeast, alt_m});
   }
 
   void enter_mode(fw::Mode mode) {
@@ -77,8 +98,7 @@ class Script {
   void enter_auto_mode() { enter_mode(fw::Mode::kAuto); }
 
   void wait_altitude_at_least(double alt_m, sim::SimTimeMs timeout_ms = 60000) {
-    add("wait_altitude>=", [](GcsContext&) {},
-        [alt_m](GcsContext& ctx) { return ctx.altitude() >= alt_m; }, timeout_ms);
+    add_altitude_wait("wait_altitude>=", [](GcsContext&) {}, alt_m, timeout_ms);
   }
 
   void wait_altitude_at_most(double alt_m, sim::SimTimeMs timeout_ms = 60000) {
@@ -94,6 +114,14 @@ class Script {
   const std::vector<Step>& steps() const { return steps_; }
 
  private:
+  // Waits are declared only here, next to the predicates they describe, so
+  // a declaration cannot disagree with its step's completion predicate.
+  void p_add(std::string name, std::function<void(GcsContext&)> on_entry,
+             std::function<bool(GcsContext&)> done, sim::SimTimeMs timeout_ms, Wait wait) {
+    steps_.push_back(
+        {std::move(name), std::move(on_entry), std::move(done), {}, timeout_ms, wait});
+  }
+
   std::vector<Step> steps_;
 };
 
@@ -138,6 +166,16 @@ class Workload {
   const std::string& failed_step() const { return failed_step_; }
   const std::string& name() const { return name_; }
   std::size_t current_step() const { return index_; }
+
+  // The entered step the running workload is blocked on, with its entry
+  // time; nullptr before the first tick and once the workload is done.
+  const Script::Step* blocked_step() const {
+    if (status_ != WorkloadStatus::kRunning || !entered_ || index_ >= script_.steps().size()) {
+      return nullptr;
+    }
+    return &script_.steps()[index_];
+  }
+  sim::SimTimeMs entered_at() const { return entered_at_; }
 
   // Mid-run progress for experiment checkpointing. Because step lambdas are
   // stateless by contract (time-based steps go through Script::add_timed),

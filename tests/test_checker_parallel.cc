@@ -208,6 +208,9 @@ TEST(CheckerParallel, OneWorkerSimulatesOnlyAppliedExperiments) {
   checker.checkpoint_store();
   const auto suite = core::SimulationHarness::iris_suite();
 
+  // The counting hook also disables absorbing-tail fast-forward (a hook
+  // observes every millisecond), so every applied run steps its full
+  // duration and the identity below stays exact.
   sim::SimTimeMs stepped_ms = 0;
   checker.harness().set_step_hook(
       [&stepped_ms](sim::SimTimeMs, const sim::VehicleState&, const fw::Firmware&) {

@@ -37,6 +37,21 @@ TEST(Rng, DoubleInUnitInterval) {
   }
 }
 
+// kMaxAbsGaussian's derivation: the smallest nonzero s the polar method can
+// draw is 2^-104 (u, v are multiples of 2^-52), |u| <= sqrt(s), and
+// |u| * sqrt(-2 ln s / s) = sqrt(-2 ln s) grows as s shrinks, so the extreme
+// draw is the transform at s = 2^-104 with |u| = sqrt(s).
+TEST(Rng, GaussianMagnitudeBoundCoversTheExtremePolarDraw) {
+  const double s = std::ldexp(1.0, -104);
+  const double u = std::sqrt(s);
+  const double extreme = u * std::sqrt(-2.0 * std::log(s) / s);
+  EXPECT_GT(extreme, 12.0);
+  EXPECT_LE(extreme, Rng::kMaxAbsGaussian);
+  // Every draw of a long stream stays inside the bound too.
+  Rng rng(99);
+  for (int i = 0; i < 100000; ++i) ASSERT_LE(std::abs(rng.next_gaussian()), Rng::kMaxAbsGaussian);
+}
+
 TEST(Rng, UniformRespectsBounds) {
   Rng rng(7);
   for (int i = 0; i < 1000; ++i) {
