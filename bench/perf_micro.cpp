@@ -67,6 +67,81 @@ static void BM_FullFirmwareStep(benchmark::State& state) {
 }
 BENCHMARK(BM_FullFirmwareStep);
 
+// A flying, banked vehicle for the sensing and fusion rows below: 20 m up,
+// moving, rolled, pitched and turning, so every rotation and the
+// attitude-dependent sensor models do real work.
+static sim::VehicleState flying_truth() {
+  sim::VehicleState truth;
+  truth.position = {12.0, -4.0, -20.0};
+  truth.velocity = {3.0, 1.0, -0.5};
+  truth.acceleration = {0.4, -0.2, -9.7};
+  truth.attitude = {0.12, -0.08, 0.7};
+  truth.body_rates = {0.05, -0.03, 0.2};
+  truth.on_ground = false;
+  return truth;
+}
+
+// The sensing half of a scalar estimator step: one read of each of the ten
+// iris instances (2 gyro, 2 accel, baro, GPS, 3 compass, battery) through
+// the SensorBus, under NullDirector's standing lease, 1 ms apart. Compare
+// with BM_EstimatorUpdate, which does these reads plus the fusion.
+static void BM_SensorSuiteReads(benchmark::State& state) {
+  util::Rng seeds(7);
+  const sensors::SuiteConfig config = core::SimulationHarness::iris_suite();
+  sensors::SensorSuite suite(config, seeds);
+  hinj::NullDirector director;
+  hinj::Server server(director);
+  hinj::Client client(server);
+  fw::SensorBus bus(suite, client);
+  const sim::Environment env;
+  const sim::VehicleState truth = flying_truth();
+  sensors::GyroSample gyro;
+  sensors::AccelSample accel;
+  sensors::BaroSample baro;
+  sensors::GpsSample gps;
+  sensors::CompassSample compass;
+  sensors::BatterySample battery;
+  sim::SimTimeMs now = 0;
+  for (auto _ : state) {
+    ++now;
+    for (int i = 0; i < config.gyroscopes; ++i) bus.read_gyro(i, now, truth, env, gyro);
+    for (int i = 0; i < config.accelerometers; ++i) bus.read_accel(i, now, truth, env, accel);
+    for (int i = 0; i < config.barometers; ++i) bus.read_baro(i, now, truth, env, baro);
+    for (int i = 0; i < config.gpses; ++i) bus.read_gps(i, now, truth, env, gps);
+    for (int i = 0; i < config.compasses; ++i) bus.read_compass(i, now, truth, env, compass);
+    for (int i = 0; i < config.batteries; ++i) bus.read_battery(i, now, truth, env, battery);
+    benchmark::DoNotOptimize(gyro);
+    benchmark::DoNotOptimize(accel);
+    benchmark::DoNotOptimize(baro);
+    benchmark::DoNotOptimize(gps);
+    benchmark::DoNotOptimize(compass);
+    benchmark::DoNotOptimize(battery);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SensorSuiteReads);
+
+// One scalar StateEstimator::update at 1 kHz on the same flying truth: the
+// reads of BM_SensorSuiteReads plus fail-over and fusion.
+static void BM_EstimatorUpdate(benchmark::State& state) {
+  util::Rng seeds(7);
+  sensors::SensorSuite suite(core::SimulationHarness::iris_suite(), seeds);
+  hinj::NullDirector director;
+  hinj::Server server(director);
+  hinj::Client client(server);
+  fw::SensorBus bus(suite, client);
+  fw::StateEstimator estimator(bus);
+  const sim::Environment env;
+  const sim::VehicleState truth = flying_truth();
+  sim::SimTimeMs now = 0;
+  for (auto _ : state) {
+    estimator.update(++now, truth, env);
+    benchmark::DoNotOptimize(estimator.state());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EstimatorUpdate);
+
 // Batched lockstep inner loop: SuiteBatch reads + EstimatorBatch fusion for
 // N lanes at 1 kHz — the hot sensing/fusion phase core::BatchHarness runs
 // between per-lane control phases. items/s is lane-steps per second, so the

@@ -125,10 +125,13 @@ BENCHMARK(BM_CheckerCampaign)
     ->MeasureProcessCPUTime();
 
 // Whole-campaign sharding: a 4-cell Avis grid (both personalities x both
-// default workloads) run at N concurrent cells with a single experiment
-// worker per cell, so the reported wall time isolates cell-level
-// parallelism. experiments/campaign must not vary with N — each cell's
-// report is bit-identical to its serial run (tests/test_campaign.cc).
+// default workloads) run at N concurrent cells with one experiment worker
+// per cell, so the campaign's one pool has N threads. At N >= 2 a thread
+// whose cell is done runs the plans the unfinished cells have queued, so
+// the wall time measures the whole pool (cells plus that help), not cells
+// alone; N = 1 runs the cells one after another, each inline.
+// experiments/campaign must not vary with N — each cell's report is
+// bit-identical to its serial run (tests/test_campaign.cc).
 static void BM_CampaignGrid(benchmark::State& state) {
   const int cell_workers = static_cast<int>(state.range(0));
   const auto grid = bench::evaluation_grid({"avis"}, /*budget_ms=*/kCampaignBudgetMs);

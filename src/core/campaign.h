@@ -5,10 +5,10 @@
 // personality, workload, environment and bug population, plus budget and
 // seeds. Each cell owns its own Checker (and therefore its own profiling
 // runs and monitor model), its own strategy, and its own BudgetClock. Cells
-// share nothing mutable, so the runner executes them concurrently on a
-// cell-level ThreadPool layered on top of each cell's in-process experiment
-// pool, and collects results in deterministic grid order. Every cell report
-// is bit-identical to a serial run of the same cell regardless of either
+// share nothing mutable, so the runner executes them concurrently as tasks
+// on one ThreadPool, on which each cell also runs its experiments, and
+// collects results in deterministic grid order. Every cell report is
+// bit-identical to a serial run of the same cell regardless of either
 // worker count (tests/test_campaign.cc; docs/PERFORMANCE.md has the full
 // contract).
 #pragma once
@@ -157,17 +157,27 @@ struct CampaignResult {
 };
 
 // One cell, end to end, on the calling thread (plus the cell's experiment
-// pool): resolve the scenario through the registries, calibrate, build the
-// strategy, run the checker loop. This is the unit the campaign pool — and a
-// distributed worker process (src/net/worker.h) — executes; cells touch
-// nothing shared, so it is safe to call concurrently.
+// pool of `experiment_workers` threads): resolve the scenario through the
+// registries, calibrate, build the strategy, run the checker loop. This is
+// the unit a distributed worker process (src/net/worker.h) executes; cells
+// touch nothing shared, so it is safe to call concurrently.
 CampaignCellResult run_cell(const CampaignCellSpec& spec, int experiment_workers,
                             const CheckpointConfig& checkpoints);
 
+// The same cell with its plans run caller-runs on a pool shared with other
+// cells (Checker::run_parallel's shared-pool overload): the calling thread
+// simulates every plan no pool thread has started, and the pool's free
+// threads take the rest. `experiment_workers` sizes the checker's waves.
+// The report equals the other overload's. This is the unit the campaign
+// pool executes.
+CampaignCellResult run_cell(const CampaignCellSpec& spec, util::ThreadPool& pool,
+                            int experiment_workers, const CheckpointConfig& checkpoints);
+
 struct CampaignOptions {
-  // Hardware budget divided between the two pool levels via
-  // util::split_worker_budget; an explicit cell_workers / experiment_workers
-  // (> 0) overrides the corresponding half of the split.
+  // Hardware budget divided via util::split_worker_budget into cells run at
+  // once (cell_workers) and experiment workers per cell; the campaign's one
+  // pool has their product of threads. An explicit cell_workers /
+  // experiment_workers (> 0) overrides the corresponding half of the split.
   int total_workers = util::default_worker_count();
   int cell_workers = 0;
   int experiment_workers = 0;

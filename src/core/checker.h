@@ -6,7 +6,6 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
-#include <future>
 #include <map>
 #include <optional>
 #include <string>
@@ -159,19 +158,70 @@ class Checker {
 
   // The checker loop: strategies hand out a wave of independent plans, each
   // plan is simulated by SimulationHarness::run on a pooled context —
-  // inline at one worker, as its own pool task otherwise — and results are
-  // applied on this thread in submission order. Budget charging, feedback()
-  // and UnsafeRecord collection are therefore single-threaded, so
-  // BudgetClock needs no locking and the report is a function of the plan
-  // sequence alone, identical at every worker count. If the budget
-  // exhausts mid-wave, the rest of the wave is cancelled: plans that have
-  // not started return without simulating, and no result past the boundary
-  // is applied. Those discarded plans were already consumed from the
-  // strategy, so a strategy object that went through a campaign should not
-  // be resumed with a fresh budget (no current caller does). See
-  // docs/PERFORMANCE.md.
+  // inline at one worker, as its own task on a private pool of `workers`
+  // threads otherwise — and results are applied on this thread in
+  // submission order. Budget charging, feedback() and UnsafeRecord
+  // collection are therefore single-threaded, so BudgetClock needs no
+  // locking and the report is a function of the plan sequence alone,
+  // identical at every worker count. If the budget exhausts mid-wave, the
+  // rest of the wave is cancelled: plans that have not started are dropped
+  // unsimulated, and no result past the boundary is applied. Those
+  // discarded plans were already consumed from the strategy, so a strategy
+  // object that went through a campaign should not be resumed with a fresh
+  // budget (no current caller does). See docs/PERFORMANCE.md.
   CheckerReport run_parallel(InjectionStrategy& strategy, BudgetClock& budget, int workers) {
     workers = std::max(workers, 1);
+    if (workers == 1) return p_run(strategy, budget, 1, nullptr);
+    // The caller only proposes and applies while the pool's threads
+    // simulate.
+    util::ThreadPool pool(workers);
+    return p_run(strategy, budget, workers, &pool);
+  }
+
+  // The same loop on a pool shared with other callers (the campaign's one
+  // pool, core/campaign.cc), caller-runs: this thread claims and simulates,
+  // in submission order, every plan of its wave that no pool thread has
+  // started, and blocks only when every remaining plan of the wave is
+  // already running elsewhere. While every pool thread is busy elsewhere
+  // this is exactly the one-worker loop; threads that free up take queued
+  // plans. `workers` sizes the wave (kWavePlansPerWorker plans per worker);
+  // it moves wall clock only, never the report.
+  CheckerReport run_parallel(InjectionStrategy& strategy, BudgetClock& budget, int workers,
+                             util::ThreadPool& shared) {
+    return p_run(strategy, budget, std::max(workers, 1), &shared, /*caller_runs=*/true);
+  }
+
+  // The scenario's checkpoint store (recorded on first use when enabled);
+  // nullptr when checkpointing is off. Exposed for tests and tools.
+  const CheckpointStore* checkpoint_store() {
+    if (!checkpoint_config_.enabled) return nullptr;
+    return p_checkpoints(model());
+  }
+  const CheckpointConfig& checkpoint_config() const { return checkpoint_config_; }
+
+  fw::Personality personality() const { return prototype_.personality; }
+  // The enum id the prototype was built from; registry-named scenarios run
+  // through `prototype().workload_factory` and leave this at its default.
+  workload::WorkloadId workload() const { return prototype_.workload; }
+  const fw::BugRegistry& bugs() const { return prototype_.bugs; }
+  const ExperimentSpec& prototype() const { return prototype_; }
+  SimulationHarness& harness() { return harness_; }
+
+ private:
+  // One simulated plan: its result and, when the run was recorded for the
+  // checkpoint tree, the captured snapshots.
+  struct PlanOutput {
+    ExperimentResult result;
+    std::vector<ExperimentSnapshot> captures;
+  };
+  using PlanTask = util::ClaimableTask<PlanOutput>;
+
+  // The wave loop behind both run_parallel overloads. Without a pool every
+  // plan runs inline; with one, each plan is queued as a claimable task,
+  // and `caller_runs` says whether this thread claims plans (a shared pool)
+  // or only waits for the pool's threads (a private one).
+  CheckerReport p_run(InjectionStrategy& strategy, BudgetClock& budget, int workers,
+                      util::ThreadPool* pool, bool caller_runs = false) {
     const MonitorModel& monitor = model();
     // Recorded on this thread before any plan is dispatched; simulations
     // then share the store strictly read-only. Tree merges are deferred to
@@ -207,10 +257,6 @@ class Checker {
       if (capture) out.captures = std::move(capture->snapshots);
       return out;
     };
-    // Declared after everything its tasks reference, so it is destroyed
-    // (joining any task still running) first.
-    std::optional<util::ThreadPool> pool;
-    if (workers > 1) pool.emplace(workers);
     CheckerReport report;
     report.strategy_name = strategy.name();
     std::vector<PendingMerge> deferred;
@@ -220,36 +266,39 @@ class Checker {
       if (plans.empty()) break;
       // One task per plan, each owning a copy of its plan: a wave of ~10
       // plans keeps every worker busy, and a task never reads this loop's
-      // storage.
-      std::vector<std::future<PlanOutput>> in_flight;
-      if (pool) {
-        in_flight.reserve(plans.size());
-        for (const FaultPlan& plan : plans) {
-          in_flight.push_back(pool->submit([&simulate, plan] { return simulate(plan); }));
-        }
+      // storage. Declared after everything the tasks reference: destroying
+      // the wave (also when an exception unwinds this frame) drops the
+      // tasks nobody started and waits for the ones running elsewhere.
+      // Caller-runs never queues a wave's first plan: this thread claims
+      // it first anyway, and a one-plan wave (the BFI baselines) then costs
+      // no queue traffic and wakes no thread.
+      std::vector<PlanTask> wave;
+      wave.reserve(plans.size());
+      for (const FaultPlan& plan : plans) {
+        auto task = [&simulate, plan] { return simulate(plan); };
+        const bool queued = pool != nullptr && !(caller_runs && wave.empty());
+        wave.push_back(queued ? pool->submit_claimable(std::move(task))
+                              : PlanTask(std::move(task)));
       }
       // Apply in submission order — the proposal order. Result 0 is always
       // applied: any plan next() returns is run and applied, even when
       // proposal-side charges (BFI's labels) crossed the budget limit while
       // producing it. Once the budget exhausts, every later result is
-      // discarded — at one worker it is never simulated at all.
+      // discarded — on this thread, it is never simulated at all.
+      std::size_t ahead = 0;  // caller-runs: every plan before it has started
       for (std::size_t i = 0; i < plans.size(); ++i) {
         if (i > 0 && budget.exhausted()) {
           cancelled.store(true, std::memory_order_relaxed);
           break;
         }
-        PlanOutput out = pool ? in_flight[i].get()  // rethrows worker errors
-                              : simulate(plans[i]);
+        PlanOutput out = pool == nullptr || caller_runs ? p_claim(wave, i, ahead)
+                                                        : wave[i].get();  // rethrows
         p_apply(report, strategy, budget, plans[i], std::move(out), deferred);
       }
       // The tree may only be mutated once no task reads it. After a cancel,
       // tasks already running finish their (discarded) simulation and the
-      // rest return at once; wait() rather than get() ignores their errors.
-      if (cancelled.load(std::memory_order_relaxed)) {
-        for (auto& task : in_flight) {
-          if (task.valid()) task.wait();
-        }
-      }
+      // rest are dropped unrun.
+      wave.clear();
       // Merging at the wave boundary (not inside p_apply) is what lets the
       // next wave's children resolve their parents' recordings without a
       // simulation ever observing a mutation — at every worker count, so
@@ -267,23 +316,6 @@ class Checker {
     return report;
   }
 
-  // The scenario's checkpoint store (recorded on first use when enabled);
-  // nullptr when checkpointing is off. Exposed for tests and tools.
-  const CheckpointStore* checkpoint_store() {
-    if (!checkpoint_config_.enabled) return nullptr;
-    return p_checkpoints(model());
-  }
-  const CheckpointConfig& checkpoint_config() const { return checkpoint_config_; }
-
-  fw::Personality personality() const { return prototype_.personality; }
-  // The enum id the prototype was built from; registry-named scenarios run
-  // through `prototype().workload_factory` and leave this at its default.
-  workload::WorkloadId workload() const { return prototype_.workload; }
-  const fw::BugRegistry& bugs() const { return prototype_.bugs; }
-  const ExperimentSpec& prototype() const { return prototype_; }
-  SimulationHarness& harness() { return harness_; }
-
- private:
   static ExperimentSpec p_make_prototype(fw::Personality personality,
                                          workload::WorkloadId workload, fw::BugRegistry bugs,
                                          std::uint64_t seed_base) {
@@ -345,12 +377,21 @@ class Checker {
     return &*checkpoints_;
   }
 
-  // One simulated plan: its result and, when the run was recorded for the
-  // checkpoint tree, the captured snapshots.
-  struct PlanOutput {
-    ExperimentResult result;
-    std::vector<ExperimentSnapshot> captures;
-  };
+  // Caller-runs: plan i's output, simulated on this thread unless another
+  // thread started it first. While plan i runs elsewhere, this thread
+  // simulates the wave's next plan that nobody has started (its output
+  // waits in its task until its turn to be applied), and blocks on plan i
+  // only once every remaining plan is running elsewhere — so it never waits
+  // on a task that has not started. `ahead` only grows: every plan before it
+  // has started.
+  static PlanOutput p_claim(std::vector<PlanTask>& wave, std::size_t i, std::size_t& ahead) {
+    for (;;) {
+      if (wave[i].run_here() || wave[i].ready()) return wave[i].get();
+      ahead = std::max(ahead, i + 1);
+      while (ahead < wave.size() && !wave[ahead].run_here()) ++ahead;
+      if (ahead == wave.size()) return wave[i].get();  // rethrows its error
+    }
+  }
 
   // One finished directed run waiting to be merged into the checkpoint
   // tree at the wave boundary (merges are deferred so simulations only ever

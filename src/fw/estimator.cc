@@ -90,8 +90,7 @@ double response_bound(double pos, double neg, double lo, double hi) {
 constexpr double kCeilingMarginM = 1e-6;
 }  // namespace
 
-StateEstimator::StateEstimator(const FirmwareConfig& config, SensorBus& bus)
-    : config_(&config), bus_(&bus) {
+StateEstimator::StateEstimator(SensorBus& bus) : bus_(&bus) {
   const auto& sc = bus.config();
   health_[static_cast<std::size_t>(sensors::SensorType::kGyroscope)].total = sc.gyroscopes;
   health_[static_cast<std::size_t>(sensors::SensorType::kAccelerometer)].total =

@@ -18,7 +18,6 @@
 #include <array>
 #include <optional>
 
-#include "fw/config.h"
 #include "fw/sensor_bus.h"
 #include "geo/attitude.h"
 #include "geo/vec3.h"
@@ -65,7 +64,7 @@ struct EstimatorQuirks {
 
 class StateEstimator {
  public:
-  StateEstimator(const FirmwareConfig& config, SensorBus& bus);
+  explicit StateEstimator(SensorBus& bus);
 
   // One 1 kHz update. `truth`/`env` are passed through to the sensor models
   // only; the estimator itself never looks at ground truth.
@@ -121,8 +120,8 @@ class StateEstimator {
 
   // Complete mid-run filter state for experiment checkpointing: both the
   // clean and the quirk-distorted solutions, fail-over health, and every
-  // fallback latch. Config and bus wiring are construction-time and stay
-  // with the hosting arena.
+  // fallback latch. The bus wiring is construction-time and stays with the
+  // hosting arena.
   struct Snapshot {
     EstimatedState state;
     EstimatedState published;
@@ -160,9 +159,6 @@ class StateEstimator {
   }
 
  private:
-  void p_update_health(sim::SimTimeMs now);
-
-  const FirmwareConfig* config_;
   SensorBus* bus_;
   EstimatedState state_;      // internal filter state (never distorted)
   EstimatedState published_;  // filter state after quirk distortion

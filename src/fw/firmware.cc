@@ -33,7 +33,7 @@ Firmware::Firmware(FirmwareConfig config, SensorBus& bus, hinj::Client& hinj_cli
       hinj_(&hinj_client),
       link_(&link),
       env_(&env),
-      estimator_(config_, bus),
+      estimator_(bus),
       cascade_(config_.gains) {
   // The enabled-set and personality are fixed for the life of the firmware;
   // fold both into a flat mask so the per-step bug hooks pay an array load

@@ -32,8 +32,13 @@ inline double rad_to_deg(double r) { return r * 180.0 / kPi; }
 // estimate — and in batched lockstep each lane contributes its own pair of
 // streams. Reusing the six values sin/cos already returned for an identical
 // (roll, pitch, yaw) is bit-identical to recomputing them; the cache only
-// changes how often libm runs. One cache per thread; 8 slots cover the
-// default batch width's truth+estimate streams.
+// changes how often libm runs. One cache per thread, and a thread simulates
+// one experiment at a time: a scalar step, the only engine campaigns run,
+// rotates through two attitudes (truth and estimate), so two slots would
+// serve it. The 8 slots date from batched lockstep, where one thread steps a
+// whole BatchHarness lane block with each lane's own streams; they stay
+// because a slot costs 72 bytes and a miss only costs a recomputation, never
+// a different result.
 struct AttitudeTrig {
   double roll, pitch, yaw;
   double sr, cr, sp, cp, sy, cy;

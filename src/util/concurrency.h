@@ -13,21 +13,22 @@ inline int default_worker_count() {
   return std::max(1, static_cast<int>(std::min(8u, std::thread::hardware_concurrency())));
 }
 
-// How a fixed hardware budget is divided between the two nested pool
-// levels of a campaign: the campaign pool running whole (approach,
-// personality, workload) cells concurrently, and each cell's experiment
-// pool. campaign_workers * experiment_workers never exceeds the budget,
-// so nested parallelism cannot oversubscribe the machine
+// How a fixed hardware budget is divided across a campaign: how many
+// (approach, personality, workload) cells run at once, and how many
+// experiment workers each cell counts on. A multi-cell campaign runs on one
+// pool of campaign_workers * experiment_workers threads, never more than the
+// budget, shared by the cells' checker loops; a lone cell or a serial
+// campaign runs each cell on its own experiment pool
 // (docs/PERFORMANCE.md, "Campaign-level parallelism").
 struct WorkerBudget {
   int campaign_workers = 1;    // cells simulated concurrently
-  int experiment_workers = 1;  // experiment pool size inside each cell
+  int experiment_workers = 1;  // workers per cell: sizes its waves (and its own pool)
 };
 
 // Favour cell-level parallelism: cells never synchronize, while experiment
 // batches barrier at every wave boundary, so a worker spent on a cell buys
 // more throughput than one spent inside a cell. Leftover workers (budget
-// not divisible by the cell count) go to the experiment pools.
+// not divisible by the cell count) go to the experiments.
 inline WorkerBudget split_worker_budget(int total_workers, int cells) {
   total_workers = std::max(1, total_workers);
   cells = std::max(1, cells);

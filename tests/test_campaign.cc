@@ -6,7 +6,11 @@
 
 #include <unistd.h>
 
+#include <atomic>
 #include <filesystem>
+#include <future>
+#include <memory>
+#include <stdexcept>
 
 #include "baselines/random_injection.h"
 #include "core/campaign.h"
@@ -17,6 +21,7 @@
 #include "util/checked.h"
 #include "util/concurrency.h"
 #include "util/json.h"
+#include "util/thread_pool.h"
 
 namespace {
 
@@ -74,6 +79,69 @@ std::vector<core::CheckerReport> serial_reference(
   }
   return reports;
 }
+
+// Delegates to an inner strategy and throws from feedback() at the first
+// result applied, past `after` of them, that is not the last of its wave:
+// the rest of that wave is still proposed, queued and unapplied when the
+// exception unwinds the checker loop. `threw` records that it did.
+class ThrowsMidWave final : public core::InjectionStrategy {
+ public:
+  ThrowsMidWave(std::unique_ptr<core::InjectionStrategy> inner, int after,
+                std::shared_ptr<std::atomic<bool>> threw)
+      : inner_(std::move(inner)), after_(after), threw_(std::move(threw)) {}
+
+  std::optional<core::FaultPlan> next(core::BudgetClock& budget) override {
+    return inner_->next(budget);
+  }
+  std::vector<core::FaultPlan> next_batch(core::BudgetClock& budget, int max_plans) override {
+    std::vector<core::FaultPlan> plans = inner_->next_batch(budget, max_plans);
+    left_in_wave_ = static_cast<int>(plans.size());
+    return plans;
+  }
+  void feedback(const core::FaultPlan& plan, const core::ExperimentResult& result) override {
+    --left_in_wave_;
+    if (applied_++ >= after_ && left_in_wave_ > 0) {
+      threw_->store(true);
+      throw std::runtime_error("strategy failed mid-wave");
+    }
+    inner_->feedback(plan, result);
+  }
+  int chain_extension_limit() const override { return inner_->chain_extension_limit(); }
+  const char* name() const override { return "ThrowsMidWave"; }
+
+ private:
+  std::unique_ptr<core::InjectionStrategy> inner_;
+  int after_;
+  std::shared_ptr<std::atomic<bool>> threw_;
+  int applied_ = 0;
+  int left_in_wave_ = 0;
+};
+
+// Occupies every thread of a pool until the object dies: plans queued on
+// it stay queued, so the submitting checker loop claims every one itself.
+class Saturation {
+ public:
+  explicit Saturation(util::ThreadPool& pool) : gate_(open_.get_future().share()) {
+    for (int i = 0; i < pool.worker_count(); ++i) {
+      std::promise<void> started;
+      std::future<void> is_started = started.get_future();
+      blockers_.push_back(pool.submit([gate = gate_, started = std::move(started)]() mutable {
+        started.set_value();
+        gate.wait();
+      }));
+      is_started.wait();
+    }
+  }
+  ~Saturation() {
+    open_.set_value();
+    for (auto& blocker : blockers_) blocker.get();
+  }
+
+ private:
+  std::promise<void> open_;
+  std::shared_future<void> gate_;
+  std::vector<std::future<void>> blockers_;
+};
 
 TEST(WorkerBudget, SplitNeverOversubscribes) {
   for (int total = 1; total <= 16; ++total) {
@@ -154,6 +222,104 @@ TEST(Campaign, ConcurrentCellsMatchSerialRunCellLoop) {
     EXPECT_GT(cell.experiments_per_sec(), 0.0);
     EXPECT_NE(cell.strategy, nullptr);
   }
+}
+
+// One pool for the whole campaign: once the short cells finish, their
+// threads run the long cell's queued plans. Outcomes must not move — every
+// cell, the straggler included, equals the serial run_cell loop, checkpoint
+// counters and all.
+TEST(Campaign, StragglerCellOnTheSharedPoolMatchesSerialRunCellLoop) {
+  auto grid = test_grid();
+  grid[0].scenario.budget_ms = 4 * kBudgetMs;  // the SABRE cell ends far last
+  const std::vector<core::CheckerReport> serial = serial_reference(grid);
+
+  core::CampaignOptions options;
+  options.total_workers = 4;
+  const core::CampaignResult result = core::CampaignRunner(options).run(grid);
+  EXPECT_EQ(result.split.campaign_workers, 4);
+  EXPECT_EQ(result.split.experiment_workers, 1);
+  ASSERT_EQ(result.cells.size(), grid.size());
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    SCOPED_TRACE("cell " + std::to_string(i));
+    EXPECT_EQ(result.cells[i].spec.scenario.budget_ms, grid[i].scenario.budget_ms);
+    avis::testing::expect_reports_equal(serial[i], result.cells[i].report);
+  }
+}
+
+// A cell whose strategy throws while its wave's plans are still queued on
+// the shared pool: the exception reaches the caller of run(), and the
+// queued plans, which captured the unwound checker loop, never run
+// (sanitizer builds check the latter).
+TEST(Campaign, CellFailingMidWaveSurfacesOnTheCaller) {
+  auto grid = test_grid();
+  auto threw = std::make_shared<std::atomic<bool>>(false);
+  grid[2].make_strategy = [threw](const core::MonitorModel& model, std::uint64_t seed) {
+    return std::make_unique<ThrowsMidWave>(sabre_factory()(model, seed), /*after=*/1, threw);
+  };
+  core::CampaignOptions options;
+  options.total_workers = 4;
+  try {
+    core::CampaignRunner(options).run(grid);
+    FAIL() << "expected the cell's exception";
+  } catch (const std::runtime_error& err) {
+    EXPECT_STREQ(err.what(), "strategy failed mid-wave");
+  }
+  EXPECT_TRUE(threw->load());
+}
+
+// The checker loop on a shared pool whose threads are all busy elsewhere is
+// the one-worker loop: the calling thread simulates every plan, in order,
+// and never one past the discard boundary. And when the strategy throws
+// mid-wave, the plans left in the queue are dropped: the pool's threads,
+// once free, simulate nothing.
+TEST(Campaign, SharedPoolWithEveryThreadBusyRunsTheOneWorkerLoop) {
+  core::Checker& checker =
+      avis::testing::cached_checker(fw::Personality::kArduPilotLike, workload::WorkloadId::kAuto);
+  const core::MonitorModel& model = checker.model();
+  checker.checkpoint_store();
+  const auto suite = core::SimulationHarness::iris_suite();
+  // The counting hook also disables absorbing-tail fast-forward, so every
+  // applied run steps its full duration.
+  std::atomic<sim::SimTimeMs> stepped_ms{0};
+  checker.harness().set_step_hook(
+      [&stepped_ms](sim::SimTimeMs, const sim::VehicleState&, const fw::Firmware&) {
+        ++stepped_ms;
+      });
+  util::ThreadPool pool(2);
+  for (const sim::SimTimeMs budget_ms : {130000, 275000}) {
+    SCOPED_TRACE("budget_ms=" + std::to_string(budget_ms));
+    core::SabreScheduler reference_sabre(suite, model.golden_transitions());
+    core::BudgetClock reference_budget(budget_ms);
+    const core::CheckerReport reference = checker.run(reference_sabre, reference_budget);
+
+    stepped_ms = 0;
+    core::SabreScheduler sabre(suite, model.golden_transitions());
+    core::BudgetClock budget(budget_ms);
+    core::CheckerReport report;
+    {
+      Saturation busy(pool);
+      report = checker.run_parallel(sabre, budget, /*workers=*/1, pool);
+    }
+    avis::testing::expect_reports_equal(reference, report);
+    EXPECT_EQ(stepped_ms.load(), report.budget_used_ms - report.checkpoint_skipped_ms);
+  }
+
+  auto threw = std::make_shared<std::atomic<bool>>(false);
+  ThrowsMidWave failing(std::make_unique<core::SabreScheduler>(suite, model.golden_transitions()),
+                        /*after=*/0, threw);
+  core::BudgetClock budget(275000);
+  {
+    Saturation busy(pool);
+    EXPECT_THROW(checker.run_parallel(failing, budget, /*workers=*/1, pool), std::runtime_error);
+    EXPECT_TRUE(threw->load());
+    stepped_ms = 0;
+  }
+  // The saturation is gone and the pool's threads have popped the queued
+  // plans: none of them may have simulated.
+  pool.submit([] {}).get();
+  pool.submit([] {}).get();
+  EXPECT_EQ(stepped_ms.load(), 0);
+  checker.harness().set_step_hook({});
 }
 
 TEST(Campaign, JsonReportCarriesPerCellMetrics) {

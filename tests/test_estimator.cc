@@ -18,7 +18,7 @@ class EstimatorTest : public ::testing::Test {
         server_(director_),
         client_(server_),
         bus_(suite_, client_),
-        estimator_(config_, bus_) {}
+        estimator_(bus_) {}
 
   static sensors::SuiteConfig p_suite() {
     sensors::SuiteConfig config;
@@ -49,7 +49,6 @@ class EstimatorTest : public ::testing::Test {
     }
   }
 
-  FirmwareConfig config_;
   util::Rng seeds_;
   sensors::SensorSuite suite_;
   hinj::NullDirector director_;

@@ -161,7 +161,7 @@ int usage(const char* argv0) {
       << "  --bugs NAME              bug population selector (default current)\n"
       << "  --workers N              total hardware budget for the worker split\n"
       << "  --cell-workers N         override: cells run concurrently\n"
-      << "  --experiment-workers N   override: experiment pool size per cell\n"
+      << "  --experiment-workers N   override: experiment workers per cell\n"
       << "  --no-checkpoints         disable checkpointed prefix forking (A/B timing;\n"
       << "                           reports are bit-identical either way)\n"
       << "  --no-checkpoint-trees    keep the fault-free root but disable faulty-prefix\n"
