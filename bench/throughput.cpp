@@ -129,7 +129,7 @@ BENCHMARK(BM_CheckerCampaign)
 // per cell, so the campaign's one pool has N threads. At N >= 2 a thread
 // whose cell is done runs the plans the unfinished cells have queued, so
 // the wall time measures the whole pool (cells plus that help), not cells
-// alone; N = 1 runs the cells one after another, each inline.
+// alone; N = 1 runs the cells one after another on the pool's one thread.
 // experiments/campaign must not vary with N — each cell's report is
 // bit-identical to its serial run (tests/test_campaign.cc).
 static void BM_CampaignGrid(benchmark::State& state) {

@@ -14,16 +14,11 @@
 
 namespace avis::core {
 
-namespace {
-
-// One cell, end to end: resolve the scenario through the registries,
-// calibrate, build the strategy, run the checker loop — on a private pool
-// of `experiment_workers` threads, or caller-runs on `shared` when given.
 // Everything the cell touches is constructed here, so cells are safe to run
 // on pool threads — or in a worker process on the other end of a socket
 // (src/net/).
-CampaignCellResult p_run_cell(const CampaignCellSpec& spec, int experiment_workers,
-                              const CheckpointConfig& checkpoints, util::ThreadPool* shared) {
+CampaignCellResult run_cell(const CampaignCellSpec& spec, int experiment_workers,
+                            const CheckpointConfig& checkpoints, util::ThreadPool* pool) {
   CampaignCellResult result;
   result.spec = spec;
   const auto start = std::chrono::steady_clock::now();
@@ -41,25 +36,12 @@ CampaignCellResult p_run_cell(const CampaignCellSpec& spec, int experiment_worke
                         : make_scenario_strategy(spec.scenario, model);
   util::expects(result.strategy != nullptr, "campaign cell produced no strategy");
   BudgetClock budget(spec.scenario.budget_ms);
-  result.report =
-      shared != nullptr
-          ? checker.run_parallel(*result.strategy, budget, experiment_workers, *shared)
-          : checker.run_parallel(*result.strategy, budget, experiment_workers);
+  result.report = pool != nullptr
+                      ? checker.run_parallel(*result.strategy, budget, experiment_workers, *pool)
+                      : checker.run_parallel(*result.strategy, budget, experiment_workers);
   result.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
   return result;
-}
-
-}  // namespace
-
-CampaignCellResult run_cell(const CampaignCellSpec& spec, int experiment_workers,
-                            const CheckpointConfig& checkpoints) {
-  return p_run_cell(spec, experiment_workers, checkpoints, nullptr);
-}
-
-CampaignCellResult run_cell(const CampaignCellSpec& spec, util::ThreadPool& pool,
-                            int experiment_workers, const CheckpointConfig& checkpoints) {
-  return p_run_cell(spec, experiment_workers, checkpoints, &pool);
 }
 
 std::vector<CampaignCellSpec> expand_to_cells(const ScenarioGrid& grid) {
@@ -145,89 +127,76 @@ CampaignResult CampaignRunner::run(const std::vector<CampaignCellSpec>& grid) co
     options_.journal->append(record);
   };
 
-  if (result.split.campaign_workers <= 1 || grid.size() <= 1) {
+  // The fresh cells, in grid order, and one outcome slot each. A cell that
+  // finds the campaign stopped before it starts yields nullopt — that is the
+  // "stop assigning new cells" semantics; cells already simulating run to
+  // completion (and get journaled).
+  std::vector<std::size_t> fresh;
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    if (resumed[i] == nullptr) fresh.push_back(i);
+  }
+  std::vector<std::promise<std::optional<CampaignCellResult>>> outcomes(fresh.size());
+  std::vector<std::future<std::optional<CampaignCellResult>>> collected;
+  collected.reserve(outcomes.size());
+  for (auto& outcome : outcomes) collected.push_back(outcome.get_future());
+  std::atomic<std::size_t> next_cell{0};
+  // Raised when should_stop fires, a cell fails or collection unwinds: no
+  // further cell starts, so the pool's destructor only waits for the
+  // running ones.
+  std::atomic<bool> abandoned{false};
+  // One pool for the whole campaign (docs/PERFORMANCE.md, "Campaign-level
+  // parallelism"). campaign_workers cell drivers take cells in grid order,
+  // each running its cell's plans caller-runs on the same pool; the other
+  // threads, and every driver that runs out of cells, take the plans the
+  // running cells have queued. A serial or one-cell campaign is the same
+  // pool with one driver. Declared after everything the drivers reference,
+  // so it is destroyed (joining them) first.
+  const util::WorkerBudget& split = result.split;
+  util::ThreadPool pool(split.campaign_workers * split.experiment_workers);
+  const auto drive = [&] {
+    for (std::size_t k; (k = next_cell.fetch_add(1)) < fresh.size();) {
+      // Every path sets the outcome slot, which collection waits on: a
+      // throwing should_stop fails the cell like a throwing simulation.
+      try {
+        if (abandoned.load() || stopped()) {
+          abandoned.store(true);
+          outcomes[k].set_value(std::nullopt);
+          continue;
+        }
+        outcomes[k].set_value(
+            run_cell(grid[fresh[k]], split.experiment_workers, options_.checkpoints, &pool));
+      } catch (...) {
+        // Surfaces when collection reaches this cell; every cell after it
+        // in grid order is skipped.
+        abandoned.store(true);
+        outcomes[k].set_exception(std::current_exception());
+      }
+    }
+  };
+  const std::size_t drivers =
+      std::min(fresh.size(), static_cast<std::size_t>(split.campaign_workers));
+  for (std::size_t d = 0; d < drivers; ++d) pool.submit(drive);
+  // Collection in grid order keeps the result vector in grid order no
+  // matter which cell finishes first.
+  try {
+    std::size_t next_fresh = 0;
     for (std::size_t i = 0; i < grid.size(); ++i) {
       if (resumed[i] != nullptr) {
         result.cells.push_back(from_journal(*resumed[i]));
         continue;
       }
-      if (stopped()) {
+      std::optional<CampaignCellResult> cell = collected[next_fresh++].get();
+      if (!cell) {
         result.interrupted = true;
-        break;
+        continue;
       }
-      CampaignCellResult cell =
-          run_cell(grid[i], result.split.experiment_workers, options_.checkpoints);
-      cell.grid_index = static_cast<int>(i);
-      journal_cell(cell, i);
-      result.cells.push_back(std::move(cell));
+      cell->grid_index = static_cast<int>(i);
+      journal_cell(*cell, i);
+      result.cells.push_back(std::move(*cell));
     }
-  } else {
-    // The fresh cells, in grid order, and one outcome slot each. A cell
-    // that finds the stop flag raised before it starts yields nullopt —
-    // that is the "stop assigning new cells" semantics; cells already
-    // simulating run to completion (and get journaled).
-    std::vector<std::size_t> fresh;
-    for (std::size_t i = 0; i < grid.size(); ++i) {
-      if (resumed[i] == nullptr) fresh.push_back(i);
-    }
-    std::vector<std::promise<std::optional<CampaignCellResult>>> outcomes(fresh.size());
-    std::vector<std::future<std::optional<CampaignCellResult>>> collected;
-    collected.reserve(outcomes.size());
-    for (auto& outcome : outcomes) collected.push_back(outcome.get_future());
-    std::atomic<std::size_t> next_cell{0};
-    // Raised when a cell fails or collection unwinds: no further cell
-    // starts, so the pool's destructor only waits for the running ones.
-    std::atomic<bool> abandoned{false};
-    // One pool for the whole campaign (docs/PERFORMANCE.md, "Campaign-level
-    // parallelism"). campaign_workers cell drivers take cells in grid
-    // order, each running its cell's plans caller-runs on the same pool;
-    // the other threads, and every driver that runs out of cells, take the
-    // plans the running cells have queued. Declared after everything the
-    // drivers reference, so it is destroyed (joining them) first.
-    const util::WorkerBudget& split = result.split;
-    util::ThreadPool pool(split.campaign_workers * split.experiment_workers);
-    const auto drive = [&] {
-      for (std::size_t k; (k = next_cell.fetch_add(1)) < fresh.size();) {
-        if (abandoned.load() || stopped()) {
-          outcomes[k].set_value(std::nullopt);
-          continue;
-        }
-        try {
-          outcomes[k].set_value(
-              run_cell(grid[fresh[k]], pool, split.experiment_workers, options_.checkpoints));
-        } catch (...) {
-          // Surfaces when collection reaches this cell; every cell after
-          // it in grid order is skipped.
-          abandoned.store(true);
-          outcomes[k].set_exception(std::current_exception());
-        }
-      }
-    };
-    const std::size_t drivers =
-        std::min(fresh.size(), static_cast<std::size_t>(split.campaign_workers));
-    for (std::size_t d = 0; d < drivers; ++d) pool.submit(drive);
-    // Collection in grid order keeps the result vector in grid order no
-    // matter which cell finishes first.
-    try {
-      std::size_t next_fresh = 0;
-      for (std::size_t i = 0; i < grid.size(); ++i) {
-        if (resumed[i] != nullptr) {
-          result.cells.push_back(from_journal(*resumed[i]));
-          continue;
-        }
-        std::optional<CampaignCellResult> cell = collected[next_fresh++].get();
-        if (!cell) {
-          result.interrupted = true;
-          continue;
-        }
-        cell->grid_index = static_cast<int>(i);
-        journal_cell(*cell, i);
-        result.cells.push_back(std::move(*cell));
-      }
-    } catch (...) {
-      abandoned.store(true);
-      throw;
-    }
+  } catch (...) {
+    abandoned.store(true);
+    throw;
   }
   result.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();

@@ -156,22 +156,18 @@ struct CampaignResult {
   }
 };
 
-// One cell, end to end, on the calling thread (plus the cell's experiment
-// pool of `experiment_workers` threads): resolve the scenario through the
-// registries, calibrate, build the strategy, run the checker loop. This is
-// the unit a distributed worker process (src/net/worker.h) executes; cells
-// touch nothing shared, so it is safe to call concurrently.
+// One cell, end to end, on the calling thread: resolve the scenario through
+// the registries, calibrate, build the strategy, run the checker loop. The
+// loop runs caller-runs (Checker::run_parallel) on `pool` when given — the
+// campaign's one pool, which other cells share, with `experiment_workers`
+// sizing the checker's waves — and otherwise on a private pool that, with
+// the calling thread, makes `experiment_workers` threads. The report is
+// the same either way. This is the unit a distributed worker process
+// (src/net/worker.h) executes; cells touch nothing shared, so it is safe to
+// call concurrently.
 CampaignCellResult run_cell(const CampaignCellSpec& spec, int experiment_workers,
-                            const CheckpointConfig& checkpoints);
-
-// The same cell with its plans run caller-runs on a pool shared with other
-// cells (Checker::run_parallel's shared-pool overload): the calling thread
-// simulates every plan no pool thread has started, and the pool's free
-// threads take the rest. `experiment_workers` sizes the checker's waves.
-// The report equals the other overload's. This is the unit the campaign
-// pool executes.
-CampaignCellResult run_cell(const CampaignCellSpec& spec, util::ThreadPool& pool,
-                            int experiment_workers, const CheckpointConfig& checkpoints);
+                            const CheckpointConfig& checkpoints,
+                            util::ThreadPool* pool = nullptr);
 
 struct CampaignOptions {
   // Hardware budget divided via util::split_worker_budget into cells run at

@@ -157,10 +157,11 @@ class Checker {
   }
 
   // The checker loop: strategies hand out a wave of independent plans, each
-  // plan is simulated by SimulationHarness::run on a pooled context —
-  // inline at one worker, as its own task on a private pool of `workers`
-  // threads otherwise — and results are applied on this thread in
-  // submission order. Budget charging, feedback() and UnsafeRecord
+  // plan is simulated by SimulationHarness::run on a pooled context, and
+  // results are applied on this thread in submission order. Above one
+  // worker the plans are queued on a private pool of `workers - 1` threads
+  // and run caller-runs (the shared-pool overload below): this thread is
+  // the remaining worker. Budget charging, feedback() and UnsafeRecord
   // collection are therefore single-threaded, so BudgetClock needs no
   // locking and the report is a function of the plan sequence alone,
   // identical at every worker count. If the budget exhausts mid-wave, the
@@ -172,9 +173,7 @@ class Checker {
   CheckerReport run_parallel(InjectionStrategy& strategy, BudgetClock& budget, int workers) {
     workers = std::max(workers, 1);
     if (workers == 1) return p_run(strategy, budget, 1, nullptr);
-    // The caller only proposes and applies while the pool's threads
-    // simulate.
-    util::ThreadPool pool(workers);
+    util::ThreadPool pool(workers - 1);
     return p_run(strategy, budget, workers, &pool);
   }
 
@@ -188,7 +187,7 @@ class Checker {
   // it moves wall clock only, never the report.
   CheckerReport run_parallel(InjectionStrategy& strategy, BudgetClock& budget, int workers,
                              util::ThreadPool& shared) {
-    return p_run(strategy, budget, std::max(workers, 1), &shared, /*caller_runs=*/true);
+    return p_run(strategy, budget, std::max(workers, 1), &shared);
   }
 
   // The scenario's checkpoint store (recorded on first use when enabled);
@@ -216,12 +215,12 @@ class Checker {
   };
   using PlanTask = util::ClaimableTask<PlanOutput>;
 
-  // The wave loop behind both run_parallel overloads. Without a pool every
-  // plan runs inline; with one, each plan is queued as a claimable task,
-  // and `caller_runs` says whether this thread claims plans (a shared pool)
-  // or only waits for the pool's threads (a private one).
+  // The wave loop behind both run_parallel overloads, caller-runs. Without
+  // a pool every plan runs inline; with one, every plan but the wave's
+  // first is queued as a claimable task that this thread or a pool thread
+  // runs (p_claim).
   CheckerReport p_run(InjectionStrategy& strategy, BudgetClock& budget, int workers,
-                      util::ThreadPool* pool, bool caller_runs = false) {
+                      util::ThreadPool* pool) {
     const MonitorModel& monitor = model();
     // Recorded on this thread before any plan is dispatched; simulations
     // then share the store strictly read-only. Tree merges are deferred to
@@ -269,14 +268,14 @@ class Checker {
       // storage. Declared after everything the tasks reference: destroying
       // the wave (also when an exception unwinds this frame) drops the
       // tasks nobody started and waits for the ones running elsewhere.
-      // Caller-runs never queues a wave's first plan: this thread claims
-      // it first anyway, and a one-plan wave (the BFI baselines) then costs
-      // no queue traffic and wakes no thread.
+      // A wave's first plan is never queued: this thread claims it first
+      // anyway, and a one-plan wave (the BFI baselines) then costs no queue
+      // traffic and wakes no thread.
       std::vector<PlanTask> wave;
       wave.reserve(plans.size());
       for (const FaultPlan& plan : plans) {
         auto task = [&simulate, plan] { return simulate(plan); };
-        const bool queued = pool != nullptr && !(caller_runs && wave.empty());
+        const bool queued = pool != nullptr && !wave.empty();
         wave.push_back(queued ? pool->submit_claimable(std::move(task))
                               : PlanTask(std::move(task)));
       }
@@ -284,16 +283,15 @@ class Checker {
       // applied: any plan next() returns is run and applied, even when
       // proposal-side charges (BFI's labels) crossed the budget limit while
       // producing it. Once the budget exhausts, every later result is
-      // discarded — on this thread, it is never simulated at all.
-      std::size_t ahead = 0;  // caller-runs: every plan before it has started
+      // discarded; at one worker, or while every pool thread is busy
+      // elsewhere, such a plan is never simulated at all.
+      std::size_t ahead = 0;  // every plan before it has started
       for (std::size_t i = 0; i < plans.size(); ++i) {
         if (i > 0 && budget.exhausted()) {
           cancelled.store(true, std::memory_order_relaxed);
           break;
         }
-        PlanOutput out = pool == nullptr || caller_runs ? p_claim(wave, i, ahead)
-                                                        : wave[i].get();  // rethrows
-        p_apply(report, strategy, budget, plans[i], std::move(out), deferred);
+        p_apply(report, strategy, budget, plans[i], p_claim(wave, i, ahead), deferred);
       }
       // The tree may only be mutated once no task reads it. After a cancel,
       // tasks already running finish their (discarded) simulation and the
@@ -379,17 +377,18 @@ class Checker {
 
   // Caller-runs: plan i's output, simulated on this thread unless another
   // thread started it first. While plan i runs elsewhere, this thread
-  // simulates the wave's next plan that nobody has started (its output
-  // waits in its task until its turn to be applied), and blocks on plan i
-  // only once every remaining plan is running elsewhere — so it never waits
-  // on a task that has not started. `ahead` only grows: every plan before it
-  // has started.
+  // simulates the wave's next plan that nobody has started (its output, or
+  // its exception, waits in its task until its turn to be applied, and is
+  // dropped with the wave on a cancel), and blocks on plan i only once
+  // every remaining plan is running elsewhere — so it never waits on a task
+  // that has not started. `ahead` only grows: every plan before it has
+  // started. get() rethrows plan i's error.
   static PlanOutput p_claim(std::vector<PlanTask>& wave, std::size_t i, std::size_t& ahead) {
     for (;;) {
       if (wave[i].run_here() || wave[i].ready()) return wave[i].get();
       ahead = std::max(ahead, i + 1);
       while (ahead < wave.size() && !wave[ahead].run_here()) ++ahead;
-      if (ahead == wave.size()) return wave[i].get();  // rethrows its error
+      if (ahead == wave.size()) return wave[i].get();
     }
   }
 

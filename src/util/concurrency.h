@@ -15,14 +15,13 @@ inline int default_worker_count() {
 
 // How a fixed hardware budget is divided across a campaign: how many
 // (approach, personality, workload) cells run at once, and how many
-// experiment workers each cell counts on. A multi-cell campaign runs on one
-// pool of campaign_workers * experiment_workers threads, never more than the
-// budget, shared by the cells' checker loops; a lone cell or a serial
-// campaign runs each cell on its own experiment pool
-// (docs/PERFORMANCE.md, "Campaign-level parallelism").
+// experiment workers each cell counts on. A campaign runs on one pool of
+// campaign_workers * experiment_workers threads, never more than the budget,
+// shared by the cells' checker loops (docs/PERFORMANCE.md, "Campaign-level
+// parallelism").
 struct WorkerBudget {
   int campaign_workers = 1;    // cells simulated concurrently
-  int experiment_workers = 1;  // workers per cell: sizes its waves (and its own pool)
+  int experiment_workers = 1;  // workers per cell: sizes its waves
 };
 
 // Favour cell-level parallelism: cells never synchronize, while experiment

@@ -24,6 +24,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <deque>
+#include <exception>
 #include <functional>
 #include <future>
 #include <memory>
@@ -71,6 +72,7 @@ class ClaimableTask {
       state_ = std::move(other.state_);
       result_ = std::move(other.result_);
       local_ = std::move(other.local_);
+      error_ = std::move(other.error_);
       ran_here_ = other.ran_here_;
     }
     return *this;
@@ -80,12 +82,17 @@ class ClaimableTask {
   ~ClaimableTask() { retire(); }
 
   // Claims the task and runs it on this thread, unless some thread claimed
-  // it first; returns whether it ran here. An exception from the task
-  // propagates out of this call, and the task then has no result.
+  // it first; returns whether it ran here. An exception from the task is
+  // kept, like a pool thread's, and rethrown by get(): it surfaces only if
+  // the owner asks for this task's result.
   bool run_here() {
     if (!state_->claim()) return false;
     ran_here_ = true;
-    local_.emplace(state_->take()());
+    try {
+      local_.emplace(state_->take()());
+    } catch (...) {
+      error_ = std::current_exception();
+    }
     return true;
   }
 
@@ -98,9 +105,13 @@ class ClaimableTask {
   }
 
   // The task's result: the one run_here() produced, or the pool thread's,
-  // waited for (its exception is rethrown here). Call it once, and only for
-  // a task that ran here or that a pool able to run it still holds.
-  R get() { return ran_here_ ? std::move(*local_) : result_.get(); }
+  // waited for; either side's exception is rethrown here. Call it once, and
+  // only for a task that ran here or that a pool able to run it still holds.
+  R get() {
+    if (!ran_here_) return result_.get();
+    if (error_) std::rethrow_exception(error_);
+    return std::move(*local_);
+  }
 
   // Drops the task if nobody has started it; otherwise waits until it
   // stops running. Idempotent; the destructor calls it.
@@ -156,6 +167,7 @@ class ClaimableTask {
   std::shared_ptr<State> state_;
   std::future<R> result_;
   std::optional<R> local_;
+  std::exception_ptr error_;
   bool ran_here_ = false;
 };
 

@@ -509,6 +509,27 @@ TEST(Campaign, PooledInterruptThenResumeCompletesIdentically) {
   std::filesystem::remove(path);
 }
 
+// A should_stop that throws fails the campaign like a failing cell: the
+// error reaches the caller instead of leaving collection waiting on a cell
+// slot nobody fills.
+TEST(Campaign, ThrowingStopCallbackSurfacesOnTheCaller) {
+  core::CampaignOptions options;
+  options.cell_workers = 2;
+  options.experiment_workers = 1;
+  std::atomic<int> polls{0};
+  options.should_stop = [&polls]() -> bool {
+    ++polls;
+    throw std::runtime_error("stop callback failed");
+  };
+  try {
+    core::CampaignRunner(options).run(journal_grid());
+    FAIL() << "expected the stop callback's exception";
+  } catch (const std::runtime_error& err) {
+    EXPECT_STREQ(err.what(), "stop callback failed");
+  }
+  EXPECT_GE(polls.load(), 1);
+}
+
 TEST(Campaign, UnknownApproachFailsLoudly) {
   // A cell whose approach is not registered and that pins no custom
   // strategy factory must fail before any simulation runs, with the

@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <future>
 #include <memory>
 #include <stdexcept>
@@ -169,16 +170,26 @@ TEST(ClaimableTask, ATaskAWorkerStartedIsNeverRunByItsSubmitter) {
 TEST(ClaimableTask, AnExceptionReachesWhoeverClaimedTheTask) {
   ThreadPool pool(1);
   {
-    // Claimed by the submitter: the exception leaves run_here().
+    // Claimed by the submitter: run_here() keeps the exception, and get()
+    // rethrows it, as it does a worker's.
     Saturation busy(pool);
     ClaimableTask<int> task =
         pool.submit_claimable([]() -> int { throw std::runtime_error("claimed here"); });
+    ASSERT_TRUE(task.run_here());
+    EXPECT_TRUE(task.ready());
     try {
-      task.run_here();
+      task.get();
       FAIL() << "expected the task's exception on the claimer";
     } catch (const std::runtime_error& err) {
       EXPECT_STREQ(err.what(), "claimed here");
     }
+  }
+  {
+    // A claimer that never asks for the result never sees the exception:
+    // it is dropped with the handle.
+    ClaimableTask<int> task(
+        std::function<int()>([]() -> int { throw std::runtime_error("never asked for"); }));
+    EXPECT_TRUE(task.run_here());
   }
   // Claimed by a worker: the exception is rethrown by get().
   ClaimableTask<int> task =
